@@ -7,8 +7,6 @@ achieving witnesses that certify every bound.
 
 from .simplex import (
     DomainError,
-    ExtremalFamily,
-    ExtremalParam,
     NumericalError,
     ProbVector,
     alpha_log,

@@ -5,8 +5,9 @@ pairs is the convex hull of the unconditional region. Its lower boundary
 ``envelope_lower`` is piecewise linear through the uniform-distribution
 points (ln m, ||u_m||); its upper boundary ``envelope_upper`` follows the
 peaked curve up to a tangency entropy and then the straight tangent
-segment into the uniform endpoint. ``envelope_upper_half`` is the closed
-form available at order 1/2.
+segment into the uniform endpoint. Both take the entropy as a float or a
+numpy array and return the same kind. ``envelope_upper_half`` is the
+closed form available at order 1/2.
 
 The upper envelope exists for every order in (0,1)+(1,inf) when n = 2,
 but only for orders in [1/2,1)+(1,inf) when n >= 3; queries outside that
@@ -21,28 +22,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curves
-from .simplex import DomainError, ProbVector, shannon_entropy
+from .curves import has_upper_envelope  # part of this module's API
+from .simplex import DomainError, ProbVector, _clamp, shannon_entropy
 
 _H_TOL = 1e-9
-_INV_H_TOL = 1e-11  # bisection tolerance when inverting envelopes in h
 
 
-def _clamp_h(n: int, h: float) -> float:
-    lnn = math.log(n)
-    if not (-_H_TOL <= h <= lnn + _H_TOL):
-        raise DomainError(f"h={h!r} outside [0, ln {n}]")
-    return min(max(h, 0.0), lnn)
-
-
-def norm_uniform(m: int, alpha: float) -> float:
+def norm_uniform(m, alpha: float):
     """alpha-norm of the uniform distribution on m symbols: m^(1/alpha - 1)."""
-    if m < 1:
-        raise DomainError(f"m={m} must be >= 1")
+    m = _clamp(m, 1.0, math.inf, 0.0, "m", "[1, inf)")
     if alpha == math.inf:
         return 1.0 / m
     if not alpha > 0.0:
         raise DomainError(f"alpha={alpha!r} must be positive")
-    return float(m) ** (1.0 / alpha - 1.0)
+    return m ** (1.0 / alpha - 1.0)
 
 
 def _check_lower_order(alpha: float) -> None:
@@ -52,57 +45,80 @@ def _check_lower_order(alpha: float) -> None:
         raise DomainError(f"alpha={alpha!r} must be positive")
 
 
-def has_upper_envelope(n: int, alpha: float) -> bool:
-    """Whether the tight upper envelope is available for this (n, alpha)."""
-    if alpha == 1.0 or not (alpha > 0.0 and math.isfinite(alpha)):
-        return False
-    return n == 2 or alpha >= 0.5
+def _lower_chord(n: int, h):
+    """The piece of the lower envelope holding h in [0, ln n]: (m, lam).
+
+    h = lam ln m + (1 - lam) ln(m+1), so the envelope there is
+    lam ||u_m|| + (1 - lam) ||u_(m+1)||. At the top, m = n and lam = 1.
+    """
+    xp = curves._xp(h)
+    # Nudge keeps h = ln m on the segment that starts at m, not the one ending there.
+    m = xp.floor(xp.exp(h) + 1e-9)
+    top = m >= n
+    m = curves._where(top, max(n - 1, 1), m)
+    lam = curves._clip((xp.log(m + 1) - h) / (xp.log(m + 1) - xp.log(m)), 0.0, 1.0)
+    return curves._where(top, n, m), curves._where(top, 1.0, lam)
 
 
-def envelope_lower(n: int, alpha: float, h: float) -> float:
+def _envelope_lower_vec(n: int, alpha: float, h):
+    """envelope_lower at h already in [0, ln n], for a float or an array."""
+    _check_lower_order(alpha)
+    m, lam = _lower_chord(n, h)
+    return lam * norm_uniform(m, alpha) + (1.0 - lam) * norm_uniform(m + 1, alpha)
+
+
+def _envelope_upper_vec(n: int, alpha: float, h):
+    """envelope_upper at h already in [0, ln n], for a float or an array."""
+    ts = curves.tangent_point(n, alpha)  # validates n and the order range
+    lnn = math.log(n)
+
+    def curve(x):
+        return curves.norm_peaked(n, curves.inv_entropy_peaked(n, x), alpha)
+
+    def segment(x):
+        lam = (lnn - x) / (lnn - ts.h)
+        return lam * ts.norm + (1.0 - lam) * norm_uniform(n, alpha)
+
+    if not isinstance(h, np.ndarray):
+        return curve(h) if h <= ts.h else segment(h)
+    # each piece only on its own entries: the curve costs a bisection per entry
+    out = np.empty_like(h)
+    on_curve = h <= ts.h
+    if on_curve.any():
+        out[on_curve] = curve(h[on_curve])
+    if not on_curve.all():
+        out[~on_curve] = segment(h[~on_curve])
+    return out
+
+
+def envelope_lower(n: int, alpha: float, h):
     """Smallest expected alpha-norm at conditional entropy h (alphabet size n).
 
     Piecewise linear: with m = floor(e^h), interpolates ||u_m|| and
     ||u_(m+1)|| at weight lam = (ln(m+1) - h)/(ln(m+1) - ln m). Convex in h;
     increasing for alpha < 1, decreasing for alpha > 1.
     """
-    if n < 1:
-        raise DomainError(f"n={n} must be >= 1")
-    _check_lower_order(alpha)
-    h = _clamp_h(n, h)
-    # Nudge keeps h = ln m on the segment that starts at m, not the one ending there.
-    m = int(math.floor(math.exp(h) + 1e-9))
-    if m >= n:
-        return norm_uniform(n, alpha)
-    lam = (math.log(m + 1) - h) / (math.log(m + 1) - math.log(m))
-    lam = min(max(lam, 0.0), 1.0)
-    return lam * norm_uniform(m, alpha) + (1.0 - lam) * norm_uniform(m + 1, alpha)
+    return _envelope_lower_vec(n, alpha, curves.clamp_entropy(n, h))
 
 
-def envelope_upper(n: int, alpha: float, h: float) -> float:
+def envelope_upper(n: int, alpha: float, h):
     """Largest expected alpha-norm at conditional entropy h (alphabet size n).
 
     Follows the peaked curve for h up to the tangency entropy and the
     tangent segment into (ln n, ||u_n||) beyond it. Concave in h;
     increasing for alpha < 1, decreasing for alpha > 1.
     """
-    h = _clamp_h(n, h)
-    ts = curves.tangent_point(n, alpha)  # validates n and the order range
-    if h <= ts.h:
-        return curves.norm_peaked(n, curves.inv_entropy_peaked(n, h), alpha)
-    lam = (math.log(n) - h) / (math.log(n) - ts.h)
-    return lam * ts.norm + (1.0 - lam) * norm_uniform(n, alpha)
+    return _envelope_upper_vec(n, alpha, curves.clamp_entropy(n, h))
 
 
 def envelope_upper_half(n: int, h: float) -> float:
-    """Closed form of envelope_upper at order 1/2.
+    """Closed form of envelope_upper at order 1/2, for a float h.
 
     The tangency sits at entropy ln n - (1 - 2/n) ln(n-1); past it the
     value is n - (n-2)(ln n - h)/ln(n-1).
     """
-    if n < 2:
-        raise DomainError(f"n={n} must be >= 2")
-    h = _clamp_h(n, h)
+    curves._check_n(n)
+    h = curves.clamp_entropy(n, h)
     h_star = math.log(n) - (1.0 - 2.0 / n) * math.log(n - 1)
     if h <= h_star:
         p = curves.inv_entropy_peaked(n, h)
@@ -145,16 +161,18 @@ def sandwich_norm(pv: ProbVector, alpha: float) -> tuple[float, float]:
     return (lo, hi)
 
 
-def _norm_range(n: int, alpha: float) -> tuple[float, float]:
-    u = norm_uniform(n, alpha)
-    return (min(1.0, u), max(1.0, u))
-
-
 def _check_norm(n: int, alpha: float, norm: float) -> float:
-    lo, hi = _norm_range(n, alpha)
+    u = norm_uniform(n, alpha)
+    lo, hi = min(1.0, u), max(1.0, u)
     if not (lo - _H_TOL <= norm <= hi + _H_TOL):
         raise DomainError(f"norm={norm!r} outside attainable range [{lo}, {hi}]")
     return min(max(norm, lo), hi)
+
+
+def _peaked_p_at_norm(n: int, alpha: float, norm: float, p_hi: float) -> float:
+    """The p in [0, p_hi] where the peaked curve has the given alpha-norm."""
+    rising = 1.0 if alpha < 1.0 else -1.0  # the norm rises with p below order 1
+    return curves.bisect(lambda p: rising * (curves.norm_peaked(n, p, alpha) - norm), 0.0, p_hi)
 
 
 def entropy_range_for_norm(n: int, alpha: float, norm: float) -> tuple[float, float]:
@@ -164,16 +182,15 @@ def entropy_range_for_norm(n: int, alpha: float, norm: float) -> tuple[float, fl
     gives one end and the stepped curve the other, with the orientation
     set by whether alpha is below or above 1.
     """
-    if n < 2:
-        raise DomainError(f"n={n} must be >= 2")
+    curves._check_n(n)
     _check_lower_order(alpha)
     if not math.isfinite(alpha):
         raise DomainError("order inf not supported for entropy inversion")
     norm = _check_norm(n, alpha, norm)
-    increasing = alpha < 1.0  # norm vs parameter p along the peaked curve
-    p = _bisect_scalar(lambda x: curves.norm_peaked(n, x, alpha), 0.0, 1.0 / n, norm, increasing)
-    pp = _bisect_scalar(lambda x: curves.norm_stepped(n, x, alpha), 1.0 / n, 1.0, norm, not increasing)
-    h_peaked = curves.entropy_peaked(n, p)
+    h_peaked = curves.entropy_peaked(n, _peaked_p_at_norm(n, alpha, norm, 1.0 / n))
+    # the stepped norm runs against the peaked one as p grows
+    rising = 1.0 if alpha < 1.0 else -1.0
+    pp = curves.bisect(lambda p: rising * (norm - curves.norm_stepped(n, p, alpha)), 1.0 / n, 1.0)
     h_stepped = curves.entropy_stepped(n, pp)
     return (h_peaked, h_stepped) if alpha < 1.0 else (h_stepped, h_peaked)
 
@@ -181,132 +198,24 @@ def entropy_range_for_norm(n: int, alpha: float, norm: float) -> tuple[float, fl
 def cond_entropy_range_for_norm(n: int, alpha: float, norm: float) -> tuple[float, float]:
     """Conditional entropies compatible with a given expected alpha-norm.
 
-    Inverts the strictly monotone envelopes in h. Requires the upper
-    envelope to exist for (n, alpha).
+    Inverts the strictly monotone envelopes: in closed form on their
+    straight pieces, by bisection in p on the peaked curve. Requires the
+    upper envelope to exist for (n, alpha).
     """
-    if not has_upper_envelope(n, alpha):
-        raise DomainError(f"unsupported order alpha={alpha!r} for n={n}")
+    ts = curves.tangent_point(n, alpha)  # validates n and the order range
     norm = _check_norm(n, alpha, norm)
     lnn = math.log(n)
-    increasing = alpha < 1.0
-    h_up = _bisect_scalar(lambda x: envelope_upper(n, alpha, x), 0.0, lnn, norm, increasing, tol=_INV_H_TOL)
-    h_lo = _bisect_scalar(lambda x: envelope_lower(n, alpha, x), 0.0, lnn, norm, increasing, tol=_INV_H_TOL)
-    return (h_up, h_lo) if alpha < 1.0 else (h_lo, h_up)
-
-
-def _bisect_scalar(fn, a: float, b: float, target: float, increasing: bool, tol: float = 0.0) -> float:
-    for _ in range(200):
-        if b - a <= max(tol, 1e-16 * max(1.0, abs(b))):
-            break
-        mid = 0.5 * (a + b)
-        if (fn(mid) < target) == increasing:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized twins used by the Monte Carlo verifier and curve export. These
-# evaluate the same formulas as the scalar API on numpy arrays.
-# ---------------------------------------------------------------------------
-
-
-_VEC_BISECT_ITERS = 64  # p-resolution ~ 2^-64, far inside every stated tolerance
-
-
-def _entropy_peaked_vec(n: int, p: np.ndarray) -> np.ndarray:
-    q = 1.0 - (n - 1) * p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(q > 0.0, -q * np.log(q), 0.0)
-        t2 = np.where(p > 0.0, -(n - 1) * p * np.log(p), 0.0)
-    return t1 + t2
-
-
-def _inv_entropy_peaked_vec(n: int, h: np.ndarray) -> np.ndarray:
-    h = np.asarray(h, dtype=np.float64)
-    lo = np.zeros_like(h)
-    hi = np.full_like(h, 1.0 / n)
-    for _ in range(_VEC_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        below = _entropy_peaked_vec(n, mid) < h
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    # exact endpoints: bisection leaves p a few ulp inside, which inflates
-    # p^alpha noticeably for small alpha
-    return np.where(h <= 0.0, 0.0, np.where(h >= math.log(n), 1.0 / n, 0.5 * (lo + hi)))
-
-
-def _step_counts_vec(p: np.ndarray) -> np.ndarray:
-    k = np.floor(1.0 / p + 1e-9)
-    return np.where(1.0 - k * p < -1e-12, k - 1.0, k)
-
-
-def _entropy_stepped_vec(n: int, p: np.ndarray) -> np.ndarray:
-    k = _step_counts_vec(p)
-    r = np.maximum(1.0 - k * p, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = -k * p * np.log(p) + np.where(r > 0.0, -r * np.log(r), 0.0)
-    return t
-
-
-def _inv_entropy_stepped_vec(n: int, h: np.ndarray) -> np.ndarray:
-    h = np.asarray(h, dtype=np.float64)
-    lo = np.full_like(h, 1.0 / n)
-    hi = np.ones_like(h)
-    for _ in range(_VEC_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        below = _entropy_stepped_vec(n, mid) < h  # decreasing: move the top down
-        lo = np.where(below, lo, mid)
-        hi = np.where(below, mid, hi)
-    return np.where(h <= 0.0, 1.0, np.where(h >= math.log(n), 1.0 / n, 0.5 * (lo + hi)))
-
-
-def _norm_stepped_vec(n: int, p: np.ndarray, alpha: float) -> np.ndarray:
-    k = _step_counts_vec(p)
-    r = np.maximum(1.0 - k * p, 0.0)
-    if alpha == math.inf:
-        return np.maximum(p, r)
-    s = k * np.power(p, alpha) + np.where(r > 0.0, np.power(r, alpha), 0.0)
-    return s ** (1.0 / alpha)
-
-
-def _norm_peaked_vec(n: int, p: np.ndarray, alpha: float) -> np.ndarray:
-    q = 1.0 - (n - 1) * p
-    if alpha == math.inf:
-        return q
-    return ((n - 1) * np.power(p, alpha) + np.power(q, alpha)) ** (1.0 / alpha)
-
-
-def _envelope_lower_vec(n: int, alpha: float, h: np.ndarray) -> np.ndarray:
-    _check_lower_order(alpha)
-    h = np.asarray(h, dtype=np.float64)
-    m = np.floor(np.exp(h) + 1e-9).astype(np.int64)
-    m = np.clip(m, 1, n)
-    m_f = m.astype(np.float64)
-    full = m >= n
-    m_safe = np.where(full, n - 1, m_f)  # avoid log(n+1) segment beyond the alphabet
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = (np.log(m_safe + 1.0) - h) / (np.log(m_safe + 1.0) - np.log(m_safe))
-    lam = np.clip(lam, 0.0, 1.0)
-    if alpha == math.inf:
-        nm, nm1, nn = 1.0 / m_safe, 1.0 / (m_safe + 1.0), 1.0 / n
+    u = norm_uniform(n, alpha)
+    rising = 1.0 if alpha < 1.0 else -1.0  # both envelopes rise with h below order 1
+    if rising * (norm - ts.norm) <= 0.0:
+        h_up = curves.entropy_peaked(n, _peaked_p_at_norm(n, alpha, norm, ts.p))
     else:
-        e = 1.0 / alpha - 1.0
-        nm, nm1, nn = m_safe**e, (m_safe + 1.0) ** e, float(n) ** e
-    return np.where(full, nn, lam * nm + (1.0 - lam) * nm1)
-
-
-def _envelope_upper_vec(n: int, alpha: float, h: np.ndarray) -> np.ndarray:
-    ts = curves.tangent_point(n, alpha)
-    h = np.asarray(h, dtype=np.float64)
-    out = np.empty_like(h)
-    on_curve = h <= ts.h
-    if np.any(on_curve):
-        p = _inv_entropy_peaked_vec(n, h[on_curve])
-        out[on_curve] = _norm_peaked_vec(n, p, alpha)
-    if np.any(~on_curve):
-        lnn = math.log(n)
-        lam = (lnn - h[~on_curve]) / (lnn - ts.h)
-        out[~on_curve] = lam * ts.norm + (1.0 - lam) * norm_uniform(n, alpha)
-    return out
+        h_up = lnn - (lnn - ts.h) * (norm - u) / (ts.norm - u)
+    # the chord from (ln m, ||u_m||) to (ln(m+1), ||u_(m+1)||) holding the norm,
+    # ||u_m|| = m^e being monotone in m
+    e = 1.0 / alpha - 1.0
+    m = min(max(math.floor(norm ** (1.0 / e)), 1), n - 1)
+    u_m, u_next = norm_uniform(m, alpha), norm_uniform(m + 1, alpha)
+    t = min(max((norm - u_m) / (u_next - u_m), 0.0), 1.0)
+    h_lo = math.log(m) + t * (math.log(m + 1) - math.log(m))
+    return (h_up, h_lo) if alpha < 1.0 else (h_lo, h_up)

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
+
+import numpy as np
 
 from . import bounds, curves, measures, oracle
 from .simplex import DomainError, NumericalError, ProbVector
@@ -125,33 +128,23 @@ def cmd_curve(args) -> int:
     n, alpha = args.n, args.alpha
     if args.grid < 2:
         raise UsageError("--grid must be at least 2")
-    lnn = math.log(n)
-    upper_ok = bounds.has_upper_envelope(n, alpha)
-    rows = []
-    for i in range(args.grid):
-        h = lnn * i / (args.grid - 1)
-        v = curves.norm_peaked(n, curves.inv_entropy_peaked(n, h), alpha)
-        w = curves.norm_stepped(n, curves.inv_entropy_stepped(n, h), alpha)
-        lo = bounds.envelope_lower(n, alpha, h)
-        up = bounds.envelope_upper(n, alpha, h) if upper_ok else None
-        rows.append((_scale(h, args.bits), v, w, lo, up))
+    curves._check_n(n)
+    h = math.log(n) * np.arange(args.grid) / (args.grid - 1)
+    cols = {
+        "h": _scale(h, args.bits),
+        "norm_peaked": curves.norm_peaked(n, curves.inv_entropy_peaked(n, h), alpha),
+        "norm_stepped": curves.norm_stepped(n, curves.inv_entropy_stepped(n, h), alpha),
+        "lower": bounds.envelope_lower(n, alpha, h),
+        "upper": bounds.envelope_upper(n, alpha, h) if bounds.has_upper_envelope(n, alpha) else None,
+    }
+    cols = {k: None if v is None else v.tolist() for k, v in cols.items()}
     if args.format == "csv":
-        lines = ["h,norm_peaked,norm_stepped,lower,upper"]
-        for row in rows:
+        lines = [",".join(cols)]
+        for row in zip(*(v or [None] * args.grid for v in cols.values())):
             lines.append(",".join("" if x is None else "%.17g" % x for x in row))
         _emit("\n".join(lines) + "\n", args.output)
     else:
-        cols = list(zip(*rows))
-        payload = {
-            "n": n,
-            "alpha": alpha,
-            "h": list(cols[0]),
-            "norm_peaked": list(cols[1]),
-            "norm_stepped": list(cols[2]),
-            "lower": list(cols[3]),
-            "upper": None if not upper_ok else list(cols[4]),
-        }
-        _emit(_dump_json(payload), args.output)
+        _emit(_dump_json({"n": n, "alpha": alpha, **cols}), args.output)
     return EXIT_OK
 
 
@@ -292,6 +285,7 @@ def cmd_channel(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ent-norm", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -357,16 +351,10 @@ def main(argv=None) -> int:
         if args.func is cmd_channel and args.rho is None and args.alpha is None:
             raise UsageError("channel needs --alpha or --rho")
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, DomainError, NumericalError) as exc:
         print(f"ent-norm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, NumericalError) as exc:
-        print(f"ent-norm: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InputError as exc:
-        print(f"ent-norm: error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"ent-norm: error: {exc}", file=sys.stderr)
         return EXIT_IO
 

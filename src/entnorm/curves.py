@@ -2,15 +2,19 @@
 
 The peaked family ``p -> (H, ||.||_alpha)`` traces one boundary of the
 feasible (entropy, norm) region, the stepped family the other. This module
-provides the closed-form entropies, their inverses (bisection on strictly
-monotone curves), the derivative of the norm with respect to entropy along
-the peaked curve, the curvature sign function whose unique zero locates the
-curve's inflection, and the tangent point where the straight segment of the
-upper envelope touches the peaked curve.
+provides the closed-form entropies and norms, their inverses, the
+derivative of the norm with respect to entropy along the peaked curve, the
+curvature sign function whose unique zero locates the curve's inflection,
+and the tangent point where the straight segment of the upper envelope
+touches the peaked curve.
 
-All solvers use plain bisection: every equation solved here is either
-strictly monotone or has a single sign change in its bracket, so bisection
-converges unconditionally.
+The entropy, norm and inverse of each family take a float or a numpy
+array and return the same kind. Each is one formula: floats go through
+``math`` and arrays elementwise through numpy.
+
+Every equation solved here is either strictly monotone or has a single
+sign change in its bracket, so one bisection, ``bisect``, solves them all
+and converges unconditionally.
 """
 
 from __future__ import annotations
@@ -19,9 +23,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .simplex import DomainError, NumericalError
+import numpy as np
 
-_MAX_ITER = 200
+from .simplex import SUM_TOL, DomainError, NumericalError, _clamp, step_count
+
+_HALVINGS = 64  # leaves a root within 2^-65 of its bracket's width
+_H_SLACK = 1e-9  # entropies this far outside [0, ln n] are clipped, not rejected
 _EXP_MAX = 709.0  # exp overflows float64 just above this
 
 
@@ -31,6 +38,52 @@ def _exp(x: float) -> float:
 
 def _expm1(x: float) -> float:
     return math.expm1(x) if x < _EXP_MAX else math.inf
+
+
+def _xp(x):
+    """numpy for an array, math for a float: both name log, exp and floor alike."""
+    return np if isinstance(x, np.ndarray) else math
+
+
+def _where(cond, a, b):
+    """np.where for an array condition, a plain choice for a single one."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _clip(x, lo: float, hi: float):
+    return np.clip(x, lo, hi) if isinstance(x, np.ndarray) else min(max(x, lo), hi)
+
+
+def _xlogx(x):
+    """x ln x, with 0 at x = 0."""
+    if isinstance(x, np.ndarray):
+        return x * np.log(np.where(x > 0.0, x, 1.0))
+    return x * math.log(x) if x > 0.0 else 0.0
+
+
+def clamp_entropy(n: int, h, name: str = "h"):
+    """h clipped into [0, ln n]: the range guard of every entropy argument."""
+    _check_n(n, least=1)
+    return _clamp(h, 0.0, math.log(n), _H_SLACK, name, f"[0, ln {n}]")
+
+
+def bisect(f, lo, hi):
+    """Where the monotone f crosses from negative to non-negative in [lo, hi].
+
+    f may map an array to an array, which bisects each element in its own
+    bracket. The bracket is halved a fixed number of times, so a float and
+    an array call take the same steps.
+    """
+    for _ in range(_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        below = f(mid) < 0.0
+        if isinstance(below, np.ndarray):
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        elif below:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _check_n(n: int, least: int = 2) -> None:
@@ -44,19 +97,33 @@ def _check_order(alpha: float) -> None:
         raise DomainError(f"alpha={alpha!r} must be finite, positive and != 1")
 
 
+def has_upper_envelope(n: int, alpha: float) -> bool:
+    """Whether the tight upper envelope is available for this (n, alpha)."""
+    if alpha == 1.0 or not (alpha > 0.0 and math.isfinite(alpha)):
+        return False
+    return n == 2 or alpha >= 0.5
+
+
 def _check_upper_order(n: int, alpha: float) -> None:
     """Orders for which the upper envelope construction is proven to work."""
-    if n == 2:
-        if not (alpha > 0.0 and alpha != 1.0 and math.isfinite(alpha)):
-            raise DomainError(f"unsupported order alpha={alpha!r} for n=2")
-        return
-    if not (0.5 <= alpha and alpha != 1.0 and math.isfinite(alpha)):
+    if not has_upper_envelope(n, alpha):
         raise DomainError(
-            f"unsupported order alpha={alpha!r}: upper envelope needs alpha in [1/2,1) or (1,inf) for n>=3"
+            f"unsupported order alpha={alpha!r} for n={n}: the upper envelope needs a finite "
+            "positive alpha != 1, and alpha >= 1/2 for n >= 3"
         )
 
 
-def entropy_peaked(n: int, p: float) -> float:
+def _entropy_peaked(n: int, p):
+    q = 1.0 - (n - 1) * p
+    return -_xlogx(q) - (n - 1) * _xlogx(p)
+
+
+def _entropy_stepped(n: int, p):
+    k = step_count(p)
+    return -k * _xlogx(p) - _xlogx(1.0 - k * p)
+
+
+def entropy_peaked(n: int, p):
     """Entropy of the peaked vector, -(1-(n-1)p)ln(1-(n-1)p) - (n-1)p ln p.
 
     Evaluated directly rather than through a constructed vector so that
@@ -64,114 +131,65 @@ def entropy_peaked(n: int, p: float) -> float:
     from 0 at p=0 to ln n at p=1/n.
     """
     _check_n(n)
-    if not (-1e-12 <= p <= 1.0 / n + 1e-12):
-        raise DomainError(f"p={p!r} outside [0, 1/{n}]")
-    p = min(max(p, 0.0), 1.0 / n)
-    q = 1.0 - (n - 1) * p
-    out = 0.0
-    if q > 0.0:
-        out -= q * math.log(q)
-    if p > 0.0:
-        out -= (n - 1) * p * math.log(p)
-    return out
+    return _entropy_peaked(n, _clamp(p, 0.0, 1.0 / n, SUM_TOL, "p", f"[0, 1/{n}]"))
 
 
-def entropy_stepped(n: int, p: float) -> float:
+def entropy_stepped(n: int, p):
     """Entropy of the stepped vector; strictly decreasing, ln m at p = 1/m."""
     _check_n(n)
-    if not (1.0 / n - 1e-12 <= p <= 1.0 + 1e-12):
-        raise DomainError(f"p={p!r} outside [1/{n}, 1]")
-    p = min(max(p, 1.0 / n), 1.0)
-    k = int(math.floor(1.0 / p + 1e-9))
-    if 1.0 - k * p < -1e-12:
-        k -= 1
-    k = min(k, n)
-    r = max(1.0 - k * p, 0.0)
-    out = -k * p * math.log(p) if p > 0.0 else 0.0
-    if r > 1e-300:
-        out -= r * math.log(r)
-    return out
+    return _entropy_stepped(n, _clamp(p, 1.0 / n, 1.0, SUM_TOL, "p", f"[1/{n}, 1]"))
 
 
-def norm_peaked(n: int, p: float, alpha: float) -> float:
+def norm_peaked(n: int, p, alpha: float):
     """alpha-norm of the peaked vector, ((n-1)p^alpha + (1-(n-1)p)^alpha)^(1/alpha)."""
     _check_n(n)
-    p = min(max(p, 0.0), 1.0 / n)
+    p = _clamp(p, 0.0, 1.0 / n, math.inf, "p", f"[0, 1/{n}]")
     q = 1.0 - (n - 1) * p
     if alpha == math.inf:
         return q
     if not alpha > 0.0:
         raise DomainError(f"alpha={alpha!r} must be positive")
-    s = q**alpha
-    if p > 0.0:
-        s += (n - 1) * p**alpha
-    return s ** (1.0 / alpha)
+    return ((n - 1) * p**alpha + q**alpha) ** (1.0 / alpha)
 
 
-def norm_stepped(n: int, p: float, alpha: float) -> float:
-    """alpha-norm of the stepped vector."""
+def norm_stepped(n: int, p, alpha: float):
+    """alpha-norm of the stepped vector: floor(1/p) masses p and the remainder."""
     _check_n(n)
-    p = min(max(p, 1.0 / n), 1.0)
-    k = int(math.floor(1.0 / p + 1e-9))
-    if 1.0 - k * p < -1e-12:
-        k -= 1
-    k = min(k, n)
-    r = max(1.0 - k * p, 0.0)
+    p = _clamp(p, 1.0 / n, 1.0, math.inf, "p", f"[1/{n}, 1]")
+    k = step_count(p)
+    r = _clip(1.0 - k * p, 0.0, 1.0)
     if alpha == math.inf:
-        return max(p, r)
+        return _where(p >= r, p, r)
     if not alpha > 0.0:
         raise DomainError(f"alpha={alpha!r} must be positive")
-    s = k * p**alpha
-    if r > 0.0:
-        s += r**alpha
-    return s ** (1.0 / alpha)
+    return (k * p**alpha + r**alpha) ** (1.0 / alpha)
 
 
-def _invert_monotone(fn, lo: float, hi: float, target: float, increasing: bool) -> float:
-    """Bisect fn on [lo, hi] for fn(x) = target; fn strictly monotone."""
-    a, b = lo, hi
-    for _ in range(_MAX_ITER):
-        if b - a <= 1e-16 * max(1.0, abs(b)):
-            break
-        mid = 0.5 * (a + b)
-        if (fn(mid) < target) == increasing:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-def inv_entropy_peaked(n: int, h: float) -> float:
+def inv_entropy_peaked(n: int, h):
     """The p in [0, 1/n] with entropy_peaked(n, p) = h."""
     _check_n(n)
-    lnn = math.log(n)
-    if not (-1e-9 <= h <= lnn + 1e-9):
-        raise DomainError(f"h={h!r} outside [0, ln {n}]")
-    h = min(max(h, 0.0), lnn)
-    if h == 0.0:
-        return 0.0
-    # the curve is quadratically flat at its top, so inversion there is
-    # ill-conditioned in h; snap when h matches the top to float precision
-    if abs(entropy_peaked(n, 1.0 / n) - h) <= 4e-16 * lnn:
-        return 1.0 / n
-    return _invert_monotone(lambda p: entropy_peaked(n, p), 0.0, 1.0 / n, h, increasing=True)
+    h = clamp_entropy(n, h)
+    p = bisect(lambda p: _entropy_peaked(n, p) - h, 0.0, 1.0 / n)
+    # exact ends: bisection leaves p a few ulp inside, which inflates p^alpha
+    # noticeably for small alpha. The curve is quadratically flat at its top,
+    # so inversion there is ill-conditioned in h: snap when h matches the top
+    # to float precision.
+    top = abs(_entropy_peaked(n, 1.0 / n) - h) <= 4e-16 * math.log(n)
+    return _where(h <= 0.0, 0.0, _where(top, 1.0 / n, p))
 
 
-def inv_entropy_stepped(n: int, h: float) -> float:
+def inv_entropy_stepped(n: int, h):
     """The p in [1/n, 1] with entropy_stepped(n, p) = h."""
     _check_n(n)
-    lnn = math.log(n)
-    if not (-1e-9 <= h <= lnn + 1e-9):
-        raise DomainError(f"h={h!r} outside [0, ln {n}]")
-    h = min(max(h, 0.0), lnn)
-    if h == 0.0:
-        return 1.0
-    # segment corners p = 1/m are quadratically flat from the upper-p side;
-    # snap when h matches a corner value to float precision
-    m = int(round(math.exp(h)))
-    if 2 <= m <= n and abs(entropy_stepped(n, 1.0 / m) - h) <= 4e-16 * max(1.0, h):
-        return 1.0 / m
-    return _invert_monotone(lambda p: entropy_stepped(n, p), 1.0 / n, 1.0, h, increasing=False)
+    h = clamp_entropy(n, h)
+    p = bisect(lambda p: h - _entropy_stepped(n, p), 1.0 / n, 1.0)
+    # segment corners p = 1/m (1 at h = 0, 1/n at h = ln n) are quadratically
+    # flat from the upper-p side; snap when h matches a corner value to float
+    # precision
+    xp = _xp(h)
+    m = xp.floor(xp.exp(h) + 0.5)
+    corner = abs(_entropy_stepped(n, 1.0 / m) - h) <= 4e-16 * _where(h > 1.0, h, 1.0)
+    return _where(corner, 1.0 / m, p)
 
 
 def dnorm_dh_peaked(n: int, p: float, alpha: float) -> float:
@@ -232,13 +250,18 @@ class TangentPoint:
 
 
 def inflection_point(n: int, alpha: float) -> InflectionPoint:
-    """Locate the unique zero of curvature_sign on (1/(n(n-1)), 1/n).
+    """Locate the unique zero of curvature_sign on (1/(n(n-1)), 1/n), memoized per (n, alpha).
 
     Needs n >= 3 (the binary curve is concave throughout) and
     alpha in [1/2, 1) or (1, inf).
     """
     _check_n(n, least=3)
     _check_upper_order(n, alpha)
+    return _inflection_cached(int(n), float(alpha))
+
+
+@lru_cache(maxsize=None)
+def _inflection_cached(n: int, alpha: float) -> InflectionPoint:
     lo = 1.0 / (n * (n - 1))
     f_lo = curvature_sign(n, lo, alpha)
     hi = f_hi = None
@@ -257,16 +280,7 @@ def inflection_point(n: int, alpha: float) -> InflectionPoint:
             f"no sign change bracketing the inflection for n={n}, alpha={alpha}: "
             f"g({lo})={f_lo}, g(~1/n)={f_hi}"
         )
-    a, b = lo, hi
-    for _ in range(_MAX_ITER):
-        if b - a <= 1e-16 * b:
-            break
-        mid = 0.5 * (a + b)
-        if curvature_sign(n, mid, alpha) < 0.0:
-            a = mid
-        else:
-            b = mid
-    p = 0.5 * (a + b)
+    p = bisect(lambda p: curvature_sign(n, p, alpha), lo, hi)
     return InflectionPoint(n=n, alpha=alpha, h=entropy_peaked(n, p), p=p)
 
 
@@ -300,19 +314,8 @@ def solve_tangent_generic(n: int, alpha: float) -> float:
             f"tangent bracket failed for n={n}, alpha={alpha}: "
             f"F({lo})={f_lo}, F({hi})={f_hi}"
         )
-    a, b, f_a = lo, hi, f_lo
-    for _ in range(_MAX_ITER):
-        if b - a <= 1e-16 * max(b, 1e-10):
-            break
-        mid = 0.5 * (a + b)
-        f_mid = tangent_residual(n, mid, alpha)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_a > 0.0):
-            a, f_a = mid, f_mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    sign = 1.0 if f_hi > 0.0 else -1.0  # bisect wants the function negative below the root
+    return bisect(lambda p: sign * tangent_residual(n, p, alpha), lo, hi)
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import bounds
+from . import bounds, curves
 from .simplex import DomainError, ProbVector, alpha_norm, shannon_entropy
 
 
@@ -140,8 +140,19 @@ def gallager_e0_uniform(channel: Channel, rho: float) -> float:
     return -math.log(acc)
 
 
-def _ordered(a: float, b: float) -> tuple[float, float]:
-    return (a, b) if a <= b else (b, a)
+def _mapped_range(n: int, alpha: float, h: float, image) -> tuple[float, float | None]:
+    """Both norm-envelope ends at h under image(alpha, norm), sorted.
+
+    The upper norm envelope is missing only below order 1/2, where the
+    Renyi and R-norm maps both increase, so the missing end is the upper
+    one here too.
+    """
+    env = bounds.envelope(n, alpha, h)
+    lo = image(alpha, env.lower)
+    if env.upper is None:
+        return (lo, None)
+    hi = image(alpha, env.upper)
+    return (lo, hi) if lo <= hi else (hi, lo)
 
 
 def renyi_range_for_entropy(n: int, alpha: float, h: float) -> tuple[float, float | None]:
@@ -151,23 +162,12 @@ def renyi_range_for_entropy(n: int, alpha: float, h: float) -> tuple[float, floa
     below order 1 and decreasing above, so the ends swap accordingly. The
     second element is None when the upper norm envelope is unavailable.
     """
-    env = bounds.envelope(n, alpha, h)
-    lo = renyi_map(alpha, env.lower)
-    if env.upper is None:
-        # increasing map: the missing (upper) norm end is the missing upper here too
-        return (lo, None)
-    return _ordered(lo, renyi_map(alpha, env.upper))
+    return _mapped_range(n, alpha, h, renyi_map)
 
 
 def rnorm_range_for_entropy(n: int, r: float, h: float) -> tuple[float, float | None]:
     """Range of the conditional R-norm information at conditional entropy h."""
-    env = bounds.envelope(n, r, h)
-    lo = rnorm_map(r, env.lower)
-    if env.upper is None:
-        # only reachable for R < 1/2, where the map is increasing, so the
-        # available end is the lower one
-        return (lo, None)
-    return _ordered(lo, rnorm_map(r, env.upper))
+    return _mapped_range(n, r, h, rnorm_map)
 
 
 def mutual_range_for_mutual(n: int, alpha: float, i: float) -> tuple[float | None, float]:
@@ -178,10 +178,9 @@ def mutual_range_for_mutual(n: int, alpha: float, i: float) -> tuple[float | Non
     swapped. When the upper norm envelope is missing (alpha < 1/2, n >= 3)
     the surviving bound is the upper one here.
     """
+    i = curves.clamp_entropy(n, i, name="i")
     lnn = math.log(n)
-    if not (-1e-9 <= i <= lnn + 1e-9):
-        raise DomainError(f"i={i!r} outside [0, ln {n}]")
-    h = min(max(lnn - i, 0.0), lnn)
+    h = lnn - i
     r_lo, r_hi = renyi_range_for_entropy(n, alpha, h)
     hi = lnn - r_lo
     lo = None if r_hi is None else lnn - r_hi

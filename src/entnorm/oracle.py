@@ -40,17 +40,10 @@ def witness_min(n: int, h: float) -> JointDist:
     Mixes the uniform-on-m and uniform-on-(m+1) rows (as stepped vectors)
     with the weight that lands the conditional entropy on h.
     """
-    if n < 2:
-        raise DomainError(f"n={n} must be >= 2")
-    lnn = math.log(n)
-    if not (-1e-9 <= h <= lnn + 1e-9):
-        raise DomainError(f"h={h!r} outside [0, ln {n}]")
-    h = min(max(h, 0.0), lnn)
-    m = int(math.floor(math.exp(h) + 1e-9))
+    curves._check_n(n)
+    m, lam = bounds._lower_chord(n, curves.clamp_entropy(n, h))
     if m >= n:
         return JointDist(py=ProbVector((1.0,)), rows=(make_uniform(n),))
-    lam = (math.log(m + 1) - h) / (math.log(m + 1) - math.log(m))
-    lam = min(max(lam, 0.0), 1.0)
     rows = (make_stepped(n, 1.0 / m), make_stepped(n, 1.0 / (m + 1)))
     return JointDist(py=ProbVector((lam, 1.0 - lam)), rows=rows)
 
@@ -63,9 +56,7 @@ def witness_max(n: int, alpha: float, h: float) -> JointDist:
     """
     ts = curves.tangent_point(n, alpha)
     lnn = math.log(n)
-    if not (-1e-9 <= h <= lnn + 1e-9):
-        raise DomainError(f"h={h!r} outside [0, ln {n}]")
-    h = min(max(h, 0.0), lnn)
+    h = curves.clamp_entropy(n, h)
     if h <= ts.h:
         row = make_peaked(n, curves.inv_entropy_peaked(n, h))
         return JointDist(py=ProbVector((1.0,)), rows=(row,))
@@ -76,16 +67,23 @@ def witness_max(n: int, alpha: float, h: float) -> JointDist:
     )
 
 
-def _sample_simplex(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """Uniform points on the simplex via normalized exponential spacings."""
-    e = rng.standard_exponential(size=(count, dim))
-    return e / e.sum(axis=1, keepdims=True)
+def _sample_simplex(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Uniform points on the simplex (the last axis) via normalized exponential spacings."""
+    e = rng.standard_exponential(size=shape)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _check_sampling(n: int, y_size: int, seed: int) -> None:
+    if n < 2 or y_size < 1:
+        raise DomainError(f"need n >= 2 and y_size >= 1, got n={n}, y_size={y_size}")
+    if seed < 0:
+        raise DomainError(f"seed={seed} must be >= 0")
 
 
 def random_joint(n: int, y_size: int, seed: int) -> JointDist:
     """One joint with uniform-on-the-simplex marginal and rows; seed-determined."""
-    if n < 2 or y_size < 1:
-        raise DomainError(f"need n >= 2 and y_size >= 1, got n={n}, y_size={y_size}")
+    _check_sampling(n, y_size, seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     py = _sample_simplex(rng, 1, y_size)[0]
     rows = _sample_simplex(rng, y_size, n)
@@ -100,10 +98,7 @@ def sample_joint_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch of joints as arrays: marginals (count, y) and rows (count, y, n)."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-    py = _sample_simplex(rng, count, y_size)
-    rows = rng.standard_exponential(size=(count, y_size, n))
-    rows /= rows.sum(axis=2, keepdims=True)
-    return py, rows
+    return _sample_simplex(rng, count, y_size), _sample_simplex(rng, count, y_size, n)
 
 
 def _row_entropy(rows: np.ndarray) -> np.ndarray:
@@ -118,45 +113,47 @@ def _row_norm(rows: np.ndarray, alpha: float) -> np.ndarray:
     return np.power(rows, alpha).sum(axis=-1) ** (1.0 / alpha)
 
 
+def _tally(samples: int, seed: int, excesses) -> VerifyReport:
+    """Count excesses above 1e-9 over fixed chunks of the samples.
+
+    excesses(count, chunk_index) gives the lower and upper excesses of one
+    chunk (the upper may be None). Chunks draw from sub-seeds derived from
+    (seed, chunk), so the report does not depend on how they are scheduled.
+    """
+    if samples < 1:
+        raise DomainError(f"samples={samples} must be >= 1")
+    bad = [0, 0]
+    max_excess = 0.0
+    for chunk_index, done in enumerate(range(0, samples, _CHUNK)):
+        for side, excess in enumerate(excesses(min(_CHUNK, samples - done), chunk_index)):
+            if excess is not None:
+                bad[side] += int((excess > 1e-9).sum())
+                max_excess = max(max_excess, float(excess.max()))
+    return VerifyReport(
+        samples=samples,
+        violations_lower=bad[0],
+        violations_upper=bad[1],
+        max_excess=max_excess,
+        seed=seed,
+    )
+
+
 def verify_envelope(n: int, alpha: float, samples: int, seed: int, y_size: int = 4) -> VerifyReport:
     """Sample random joints and count envelope violations at tolerance 1e-9.
 
     The upper envelope is checked only where it exists for (n, alpha).
-    Work is cut into fixed chunks with sub-seeds derived from (seed, chunk),
-    so the report does not depend on how chunks are scheduled.
     """
-    if samples < 1:
-        raise DomainError(f"samples={samples} must be >= 1")
+    _check_sampling(n, y_size, seed)
     check_upper = bounds.has_upper_envelope(n, alpha)
-    bad_lo = 0
-    bad_up = 0
-    max_excess = 0.0
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        count = min(_CHUNK, samples - done)
+
+    def excesses(count: int, chunk_index: int):
         py, rows = sample_joint_batch(n, y_size, count, seed, chunk_index)
-        h = (py * _row_entropy(rows)).sum(axis=1)
+        h = np.clip((py * _row_entropy(rows)).sum(axis=1), 0.0, math.log(n))
         norm = (py * _row_norm(rows, alpha)).sum(axis=1)
-        h = np.clip(h, 0.0, math.log(n))
-        lo = bounds._envelope_lower_vec(n, alpha, h)
-        excess_lo = lo - norm
-        bad_lo += int((excess_lo > 1e-9).sum())
-        max_excess = max(max_excess, float(excess_lo.max()))
-        if check_upper:
-            up = bounds._envelope_upper_vec(n, alpha, h)
-            excess_up = norm - up
-            bad_up += int((excess_up > 1e-9).sum())
-            max_excess = max(max_excess, float(excess_up.max()))
-        done += count
-        chunk_index += 1
-    return VerifyReport(
-        samples=samples,
-        violations_lower=bad_lo,
-        violations_upper=bad_up,
-        max_excess=max_excess,
-        seed=seed,
-    )
+        excess_up = norm - bounds._envelope_upper_vec(n, alpha, h) if check_upper else None
+        return bounds._envelope_lower_vec(n, alpha, h) - norm, excess_up
+
+    return _tally(samples, seed, excesses)
 
 
 def verify_sandwich(n: int, alpha: float, samples: int, seed: int) -> VerifyReport:
@@ -166,35 +163,18 @@ def verify_sandwich(n: int, alpha: float, samples: int, seed: int) -> VerifyRepo
     exceed its alpha-norm, and the peaked-curve norm must not fall below it
     (tolerance 1e-9). Chunked and sub-seeded like verify_envelope.
     """
-    if samples < 1:
-        raise DomainError(f"samples={samples} must be >= 1")
-    bad_lo = 0
-    bad_up = 0
-    max_excess = 0.0
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        count = min(_CHUNK, samples - done)
+    _check_sampling(n, 1, seed)
+
+    def excesses(count: int, chunk_index: int):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
         pts = _sample_simplex(rng, count, n)
         h = np.clip(_row_entropy(pts), 0.0, math.log(n))
         x = _row_norm(pts, alpha)
-        lo = bounds._norm_stepped_vec(n, bounds._inv_entropy_stepped_vec(n, h), alpha)
-        hi = bounds._norm_peaked_vec(n, bounds._inv_entropy_peaked_vec(n, h), alpha)
-        excess_lo = lo - x
-        excess_up = x - hi
-        bad_lo += int((excess_lo > 1e-9).sum())
-        bad_up += int((excess_up > 1e-9).sum())
-        max_excess = max(max_excess, float(excess_lo.max()), float(excess_up.max()))
-        done += count
-        chunk_index += 1
-    return VerifyReport(
-        samples=samples,
-        violations_lower=bad_lo,
-        violations_upper=bad_up,
-        max_excess=max_excess,
-        seed=seed,
-    )
+        lo = curves.norm_stepped(n, curves.inv_entropy_stepped(n, h), alpha)
+        hi = curves.norm_peaked(n, curves.inv_entropy_peaked(n, h), alpha)
+        return lo - x, x - hi
+
+    return _tally(samples, seed, excesses)
 
 
 @lru_cache(maxsize=64)
@@ -202,19 +182,14 @@ def _peaked_samples(n: int, alpha: float, grid_size: int) -> tuple[np.ndarray, n
     # i/G is exact for power-of-two G, so halved grids are exact subsets
     t = np.arange(grid_size + 1, dtype=np.float64) / grid_size
     p = t * (1.0 / n)
-    return bounds._entropy_peaked_vec(n, p), bounds._norm_peaked_vec(n, p, alpha)
+    return curves.entropy_peaked(n, p), curves.norm_peaked(n, p, alpha)
 
 
 @lru_cache(maxsize=64)
 def _stepped_samples(n: int, alpha: float, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     t = np.arange(grid_size + 1, dtype=np.float64) / grid_size
     p = 1.0 / n + t * (1.0 - 1.0 / n)
-    h = np.empty_like(p)
-    ns = np.empty_like(p)
-    for i, x in enumerate(p):
-        h[i] = curves.entropy_stepped(n, float(x))
-        ns[i] = curves.norm_stepped(n, float(x), alpha)
-    return h, ns
+    return curves.entropy_stepped(n, p), curves.norm_stepped(n, p, alpha)
 
 
 def _mixture_extreme(h_pts: np.ndarray, n_pts: np.ndarray, h: float, want_max: bool) -> float:
@@ -250,10 +225,7 @@ def brute_force_upper(n: int, alpha: float, h: float, grid_size: int) -> float:
     """
     if grid_size < 16:
         raise DomainError(f"grid_size={grid_size} must be >= 16")
-    lnn = math.log(n)
-    if not (-1e-9 <= h <= lnn + 1e-9):
-        raise DomainError(f"h={h!r} outside [0, ln {n}]")
-    h = min(max(h, 0.0), lnn)
+    h = curves.clamp_entropy(n, h)
     hs, ns = _peaked_samples(n, float(alpha), grid_size)
     return _mixture_extreme(hs, ns, h, want_max=True)
 
@@ -262,9 +234,6 @@ def brute_force_lower(n: int, alpha: float, h: float, grid_size: int) -> float:
     """Hull lower boundary at h from two-point mixtures of stepped-curve samples."""
     if grid_size < 16:
         raise DomainError(f"grid_size={grid_size} must be >= 16")
-    lnn = math.log(n)
-    if not (-1e-9 <= h <= lnn + 1e-9):
-        raise DomainError(f"h={h!r} outside [0, ln {n}]")
-    h = min(max(h, 0.0), lnn)
+    h = curves.clamp_entropy(n, h)
     hs, ns = _stepped_samples(n, float(alpha), grid_size)
     return _mixture_extreme(hs, ns, h, want_max=False)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+
+import numpy as np
 
 SUM_TOL = 1e-12
 _ZERO_MASS = 1e-300  # below this a mass contributes 0 to -p*ln(p)
@@ -46,39 +47,15 @@ class ProbVector:
         return len(self.values)
 
 
-class ExtremalFamily(Enum):
-    """The three families whose images bound the entropy/norm region."""
-
-    PEAKED = "peaked"    # one dominant mass, equal-mass tail
-    STEPPED = "stepped"  # equal masses, one remainder, zero tail
-    UNIFORM = "uniform"
-
-
-@dataclass(frozen=True)
-class ExtremalParam:
-    """A family member: ``p`` is the tail mass (peaked) or step mass (stepped)."""
-
-    family: ExtremalFamily
-    n: int
-    p: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DomainError("extremal families need n >= 2")
-        if self.family is ExtremalFamily.UNIFORM:
-            return
-        if self.p is None:
-            raise DomainError(f"{self.family.value} family needs a parameter p")
-        lo, hi = (0.0, 1.0 / self.n) if self.family is ExtremalFamily.PEAKED else (1.0 / self.n, 1.0)
-        if not (lo - SUM_TOL <= self.p <= hi + SUM_TOL):
-            raise DomainError(f"p={self.p!r} outside [{lo}, {hi}] for {self.family.value} family")
-
-    def realize(self) -> ProbVector:
-        if self.family is ExtremalFamily.UNIFORM:
-            return make_uniform(self.n)
-        if self.family is ExtremalFamily.PEAKED:
-            return make_peaked(self.n, self.p)
-        return make_stepped(self.n, self.p)
+def _clamp(x, lo: float, hi: float, slack: float, name: str, span: str):
+    """x clipped into [lo, hi]; DomainError if any of it (or NaN) lies more than slack outside."""
+    if isinstance(x, np.ndarray):
+        if not ((lo - slack <= x) & (x <= hi + slack)).all():
+            raise DomainError(f"{name}={x!r} outside {span}")
+        return np.clip(x, lo, hi)
+    if not lo - slack <= x <= hi + slack:
+        raise DomainError(f"{name}={x!r} outside {span}")
+    return min(max(x, lo), hi)
 
 
 def make_uniform(n: int) -> ProbVector:
@@ -92,33 +69,28 @@ def make_peaked(n: int, p: float) -> ProbVector:
     """One mass 1-(n-1)p followed by n-1 equal masses p, for p in [0, 1/n]."""
     if n < 2:
         raise DomainError("peaked family needs n >= 2")
-    if not (-SUM_TOL <= p <= 1.0 / n + SUM_TOL):
-        raise DomainError(f"p={p!r} outside [0, 1/{n}]")
-    p = min(max(p, 0.0), 1.0 / n)
+    p = _clamp(p, 0.0, 1.0 / n, SUM_TOL, "p", f"[0, 1/{n}]")
     head = 1.0 - (n - 1) * p
     return ProbVector((head,) + (p,) * (n - 1))
 
 
-def step_count(p: float) -> int:
-    """Number of full masses p that fit in 1, i.e. floor(1/p).
+def step_count(p):
+    """Number of full masses p that fit in 1, i.e. floor(1/p), for a float or an array.
 
     Guarded so that exact reciprocals p = 1/m are not rounded down by
     float noise; the guard is backed out if it overshoots by more than
     simplex tolerance.
     """
-    k = int(math.floor(1.0 / p + 1e-9))
-    if 1.0 - k * p < -SUM_TOL:
-        k -= 1
-    return k
+    x = 1.0 / p + 1e-9
+    k = np.floor(x) if isinstance(x, np.ndarray) else math.floor(x)
+    return k - (1.0 - k * p < -SUM_TOL)
 
 
 def make_stepped(n: int, p: float) -> ProbVector:
     """floor(1/p) masses p, one remainder 1-floor(1/p)*p, zeros after, p in [1/n, 1]."""
     if n < 2:
         raise DomainError("stepped family needs n >= 2")
-    if not (1.0 / n - SUM_TOL <= p <= 1.0 + SUM_TOL):
-        raise DomainError(f"p={p!r} outside [1/{n}, 1]")
-    p = min(max(p, 1.0 / n), 1.0)
+    p = _clamp(p, 1.0 / n, 1.0, SUM_TOL, "p", f"[1/{n}, 1]")
     k = min(step_count(p), n)
     rem = max(1.0 - k * p, 0.0)
     vals = [p] * k

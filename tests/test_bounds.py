@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from entnorm.curves import (
     entropy_peaked,
     entropy_stepped,
     inv_entropy_peaked,
+    inv_entropy_stepped,
     norm_peaked,
     norm_stepped,
     tangent_point,
@@ -192,29 +194,73 @@ class TestEnvelope:
 
 
 class TestVectorizedTwins:
-    # the Monte Carlo verifier rides the array versions, so they must track
-    # the scalar API exactly
+    # the Monte Carlo verifier and the curve export call these functions on
+    # arrays, so an array call must match the same function applied to each
+    # element as a float
     @pytest.mark.parametrize("n,alpha", [(2, 0.3), (3, 0.5), (8, 0.7), (8, 2.0), (5, 4.0)])
     def test_envelopes_match_scalar(self, n, alpha):
-        from entnorm.bounds import _envelope_lower_vec, _envelope_upper_vec
-
         hs = np.linspace(0.0, LN(n), 257)
-        lo_vec = _envelope_lower_vec(n, alpha, hs)
+        lo_vec = envelope_lower(n, alpha, hs)
         assert np.allclose(lo_vec, [envelope_lower(n, alpha, float(h)) for h in hs], atol=1e-12, rtol=1e-12)
         if has_upper_envelope(n, alpha):
-            up_vec = _envelope_upper_vec(n, alpha, hs)
+            up_vec = envelope_upper(n, alpha, hs)
             assert np.allclose(up_vec, [envelope_upper(n, alpha, float(h)) for h in hs], atol=1e-10, rtol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_stepped_inverse_matches_scalar(self, n):
-        from entnorm.bounds import _inv_entropy_stepped_vec, _norm_stepped_vec
-        from entnorm.curves import inv_entropy_stepped
-
         hs = np.linspace(1e-6, LN(n) - 1e-6, 101)
-        ps = _inv_entropy_stepped_vec(n, hs)
+        ps = inv_entropy_stepped(n, hs)
         assert np.allclose(ps, [inv_entropy_stepped(n, float(h)) for h in hs], atol=1e-10)
         want = [norm_stepped(n, float(p), 2.0) for p in ps]
-        assert np.allclose(_norm_stepped_vec(n, ps, 2.0), want, atol=1e-12)
+        assert np.allclose(norm_stepped(n, ps, 2.0), want, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_peaked_inverse_matches_scalar(self, n):
+        hs = np.linspace(0.0, LN(n), 101)
+        ps = inv_entropy_peaked(n, hs)
+        assert np.allclose(ps, [inv_entropy_peaked(n, float(h)) for h in hs], atol=1e-10)
+        assert np.allclose(entropy_peaked(n, ps), [entropy_peaked(n, float(p)) for p in ps], atol=1e-12)
+        assert np.allclose(norm_peaked(n, ps, 0.5), [norm_peaked(n, float(p), 0.5) for p in ps], atol=1e-12)
+
+
+def _mp_envelope_upper_on_curve(n, alpha, h):
+    """The peaked-curve norm at entropy h, with p found by 50-digit bisection."""
+    with mpmath.workdps(50):
+        n, alpha, h = mpmath.mpf(n), mpmath.mpf(alpha), mpmath.mpf(h)
+
+        def entropy(p):
+            q = 1 - (n - 1) * p
+            return -q * mpmath.log(q) - (n - 1) * p * mpmath.log(p)
+
+        lo, hi = mpmath.mpf(0), 1 / n
+        for _ in range(400):
+            mid = (lo + hi) / 2
+            if entropy(mid) < h:
+                lo = mid
+            else:
+                hi = mid
+        p = (lo + hi) / 2
+        return ((n - 1) * p**alpha + (1 - (n - 1) * p) ** alpha) ** (1 / alpha)
+
+
+class TestUpperEnvelopeSmallEntropy:
+    # at small h the curve point p is tiny and p^alpha large for small
+    # alpha, so the inversion must resolve p relative to itself
+    @pytest.mark.parametrize("n,alpha", [(2, 0.3), (3, 0.5), (8, 0.55)])
+    @pytest.mark.parametrize("h", [1e-11, 1e-9, 1e-6])
+    def test_matches_mpmath(self, n, alpha, h):
+        want = float(_mp_envelope_upper_on_curve(n, alpha, h))
+        assert abs(envelope_upper(n, alpha, h) - want) <= 1e-9
+        assert abs(float(envelope_upper(n, alpha, np.array([h, 0.5 * LN(n)]))[0]) - want) <= 1e-9
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="64 halvings of [0, 1/2] resolve p = 2.6e-17 to only ~5e-4 of itself, "
+        "an error of ~2.8e-7 in the norm; see ROADMAP item 4",
+    )
+    def test_matches_mpmath_at_1e_15(self):
+        want = float(_mp_envelope_upper_on_curve(2, 0.3, 1e-15))
+        assert abs(envelope_upper(2, 0.3, 1e-15) - want) <= 1e-9
 
 
 class TestSandwich:
@@ -303,6 +349,18 @@ class TestCondEntropyRangeForNorm:
         lo, hi = cond_entropy_range_for_norm(n, alpha, 0.6)
         assert envelope_lower(n, alpha, lo) == pytest.approx(0.6, abs=1e-8)
         assert envelope_upper(n, alpha, hi) == pytest.approx(0.6, abs=1e-8)
+
+    @pytest.mark.parametrize("n,alpha", [(2, 0.3), (3, 0.5), (8, 0.9999), (8, 1.0001), (50, 2.0), (1000, 7.0)])
+    def test_round_trip_across_pieces(self, n, alpha):
+        # norms on the curve and on the segment of the upper envelope, and on
+        # every chord of the lower one
+        u = norm_uniform(n, alpha)
+        for t in np.linspace(0.0, 1.0, 41)[1:]:
+            norm = 1.0 + t * (u - 1.0)
+            lo, hi = cond_entropy_range_for_norm(n, alpha, norm)
+            h_up, h_lo = (lo, hi) if alpha < 1.0 else (hi, lo)
+            assert envelope_upper(n, alpha, h_up) == pytest.approx(norm, abs=1e-11)
+            assert envelope_lower(n, alpha, h_lo) == pytest.approx(norm, abs=1e-11)
 
     def test_unsupported_order(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +171,21 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--n", "8", "--alpha", "2", "--samples", "0")
         assert code == 1
 
+    def test_empty_y_alphabet_usage_error(self, capsys):
+        # no joint has an empty Y alphabet: not a violation of the bound
+        code, out, err = run(capsys, "verify", "--n", "8", "--alpha", "2", "--y-size", "0")
+        assert code == 1 and out == "" and "y_size" in err
+
+    def test_negative_seed_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "8", "--alpha", "2", "--seed", "-1")
+        assert code == 1 and out == "" and "seed" in err
+
+    def test_binary_alphabet_needed_before_sampling(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", "--n", "1", "--alpha", "2")
+        assert code == 1 and out == "" and err.count("\n") == 1
+
     def test_violations_exit_three(self, capsys, monkeypatch):
         import entnorm.cli as cli
         from entnorm.oracle import VerifyReport
@@ -295,6 +315,24 @@ class TestUsage:
         code, _, err = run(capsys, "curve", "--alpha", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [["curve", "--alpha", "2"], ["eval", "--alpha", "2", "--i", "0.1"]])
+    def test_empty_alphabet_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--n", "0")
+        assert code == 1 and out == "" and "n=0" in err
+
     def test_alpha_one_rejected(self, capsys):
         code, _, err = run(capsys, "curve", "--n", "4", "--alpha", "1")
         assert code == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    import entnorm
+
+    src = str(Path(entnorm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "entnorm", "tangent", "--n", "3", "--alpha", "0.5"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["p_star"] == pytest.approx(1 / 6, abs=1e-15)

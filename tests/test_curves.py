@@ -248,6 +248,7 @@ class TestTangent:
 
     def test_memoized(self):
         assert tangent_point(6, 3.0) is tangent_point(6, 3.0)
+        assert inflection_point(6, 3.0) is inflection_point(6, 3.0)
 
     def test_unsupported(self):
         with pytest.raises(DomainError):

@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 
 from entnorm.simplex import (
     DomainError,
-    ExtremalFamily,
-    ExtremalParam,
     ProbVector,
     alpha_log,
     alpha_norm,
@@ -85,21 +83,6 @@ class TestConstructors:
             ProbVector((1.2, -0.2))
         with pytest.raises(DomainError):
             ProbVector(())
-
-
-class TestExtremalParam:
-    def test_realize(self):
-        assert ExtremalParam(ExtremalFamily.UNIFORM, 4).realize() == make_uniform(4)
-        assert ExtremalParam(ExtremalFamily.PEAKED, 3, 1 / 6).realize() == make_peaked(3, 1 / 6)
-        assert ExtremalParam(ExtremalFamily.STEPPED, 5, 0.4).realize() == make_stepped(5, 0.4)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            ExtremalParam(ExtremalFamily.PEAKED, 3, 0.9)
-        with pytest.raises(DomainError):
-            ExtremalParam(ExtremalFamily.STEPPED, 3, 0.1)
-        with pytest.raises(DomainError):
-            ExtremalParam(ExtremalFamily.PEAKED, 3, None)
 
 
 class TestEntropy:
