@@ -11,7 +11,6 @@ from .simplex import (
     ProbVector,
     alpha_log,
     alpha_norm,
-    binary_entropy,
     make_peaked,
     make_stepped,
     make_uniform,

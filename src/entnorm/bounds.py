@@ -23,7 +23,7 @@ import numpy as np
 
 from . import curves
 from .curves import has_upper_envelope  # part of this module's API
-from .simplex import DomainError, ProbVector, _clamp, shannon_entropy
+from .simplex import DomainError, _clamp, shannon_entropy
 
 _H_TOL = 1e-9
 
@@ -146,16 +146,18 @@ def envelope(n: int, alpha: float, h: float) -> BoundEnvelope:
     return BoundEnvelope(lower=lo, upper=up)
 
 
-def sandwich_norm(pv: ProbVector, alpha: float) -> tuple[float, float]:
-    """Unconditional sandwich: norms of the stepped/peaked vectors at H(pv).
+def sandwich_norm(p, alpha: float):
+    """Unconditional sandwich: norms of the stepped/peaked vectors at H(p).
 
-    Returns (lower, upper) with lower <= ||pv||_alpha <= upper for any
-    order alpha > 0 (including inf).
+    p is a ProbVector or an array of points (last axis). Returns (lower,
+    upper) with lower <= ||p||_alpha <= upper for any order alpha > 0
+    (including inf): floats for one point, arrays for an array of points.
     """
-    n = pv.n
+    p = np.asarray(p, dtype=float)
+    n = p.shape[-1]
     if n < 2:
         return (1.0, 1.0)
-    h = shannon_entropy(pv)
+    h = np.clip(shannon_entropy(p), 0.0, math.log(n))
     lo = curves.norm_stepped(n, curves.inv_entropy_stepped(n, h), alpha)
     hi = curves.norm_peaked(n, curves.inv_entropy_peaked(n, h), alpha)
     return (lo, hi)

@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import bounds, curves, measures, oracle
-from .simplex import DomainError, NumericalError, ProbVector
+from .simplex import DomainError, NumericalError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,25 +89,26 @@ def _load_json_object(path: str, allowed: set[str], required: set[str]) -> dict:
     return data
 
 
-def _prob_vector(path: str, field: str, raw, index: int | None = None) -> ProbVector:
-    where = f"{path}: field '{field}'" + ("" if index is None else f", row {index}")
+def _check_numbers(path: str, field: str, raw, index: int | None = None) -> None:
     if not isinstance(raw, list) or not all(isinstance(v, (int, float)) for v in raw):
+        where = f"{path}: field '{field}'" + ("" if index is None else f", row {index}")
         raise InputError(f"{where}: expected a list of numbers")
-    try:
-        return ProbVector(tuple(float(v) for v in raw))
-    except DomainError as exc:
-        raise InputError(f"{where}: {exc}") from exc
+
+
+def _check_rows(path: str, field: str, raw) -> None:
+    if not isinstance(raw, list):
+        raise InputError(f"{path}: field '{field}' must be a list of rows")
+    for i, row in enumerate(raw):
+        _check_numbers(path, field, row, i)
 
 
 def load_joint(path: str) -> measures.JointDist:
     """Read a joint-distribution file: {"py": [...], "rows": [[...], ...]}."""
     data = _load_json_object(path, allowed={"py", "rows"}, required={"py", "rows"})
-    py = _prob_vector(path, "py", data["py"])
-    if not isinstance(data["rows"], list):
-        raise InputError(f"{path}: field 'rows' must be a list of rows")
-    rows = tuple(_prob_vector(path, "rows", r, i) for i, r in enumerate(data["rows"]))
+    _check_numbers(path, "py", data["py"])
+    _check_rows(path, "rows", data["rows"])
     try:
-        return measures.JointDist(py=py, rows=rows)
+        return measures.JointDist(py=data["py"], rows=data["rows"])
     except DomainError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -115,11 +116,9 @@ def load_joint(path: str) -> measures.JointDist:
 def load_channel(path: str) -> measures.Channel:
     """Read a channel file: {"transitions": [[...], ...]}."""
     data = _load_json_object(path, allowed={"transitions"}, required={"transitions"})
-    if not isinstance(data["transitions"], list):
-        raise InputError(f"{path}: field 'transitions' must be a list of rows")
-    rows = tuple(_prob_vector(path, "transitions", r, i) for i, r in enumerate(data["transitions"]))
+    _check_rows(path, "transitions", data["transitions"])
     try:
-        return measures.Channel(transitions=rows)
+        return measures.Channel(transitions=data["transitions"])
     except DomainError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -220,8 +219,6 @@ def cmd_tangent(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise UsageError("--samples must be at least 1")
     report = oracle.verify_envelope(args.n, args.alpha, args.samples, args.seed, y_size=args.y_size)
     _emit(_dump_json(dataclasses.asdict(report)), args.output)
     if report.violations_lower or report.violations_upper:
@@ -264,9 +261,10 @@ def cmd_channel(args) -> int:
             raise UsageError(f"--alpha must be positive, got {alpha}")
         rho = 1.0 / alpha - 1.0
     n = channel.n_in
-    mutual = measures.arimoto_mutual_uniform(channel, 1.0)
-    mutual = min(max(mutual, 0.0), math.log(n))
-    mutual_alpha = measures.arimoto_mutual_uniform(channel, alpha)
+    # under uniform input I_a = ln n - H_a(X|Y): one posterior serves both orders
+    joint = measures.joint_from_channel_uniform(channel)
+    mutual = min(max(math.log(n) - measures.cond_shannon(joint), 0.0), math.log(n))
+    mutual_alpha = math.log(n) - measures.cond_renyi(joint, alpha)
     e0 = measures.gallager_e0_uniform(channel, rho)
     residual = abs(e0 - rho * mutual_alpha)
     e0_lo, e0_hi = measures.e0_range_for_mutual(n, rho, mutual)

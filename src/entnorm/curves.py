@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .simplex import SUM_TOL, DomainError, NumericalError, _clamp, step_count
+from .simplex import SUM_TOL, DomainError, NumericalError, _clamp, _xlogx, step_count
 
 _HALVINGS = 64  # leaves a root within 2^-65 of its bracket's width
 _H_SLACK = 1e-9  # entropies this far outside [0, ln n] are clipped, not rejected
@@ -52,13 +52,6 @@ def _where(cond, a, b):
 
 def _clip(x, lo: float, hi: float):
     return np.clip(x, lo, hi) if isinstance(x, np.ndarray) else min(max(x, lo), hi)
-
-
-def _xlogx(x):
-    """x ln x, with 0 at x = 0."""
-    if isinstance(x, np.ndarray):
-        return x * np.log(np.where(x > 0.0, x, 1.0))
-    return x * math.log(x) if x > 0.0 else 0.0
 
 
 def clamp_entropy(n: int, h, name: str = "h"):

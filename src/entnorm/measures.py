@@ -1,11 +1,15 @@
 """Conditional information measures and the induced two-sided bounds.
 
-A joint distribution is stored as a marginal over Y plus one conditional
-row per outcome. The Renyi and R-norm conditional entropies are strictly
-monotone images of the expected alpha-norm, so the envelopes of
-:mod:`entnorm.bounds` transfer to them (and, for channels under uniform
-input, to mutual information of any order and to the Gallager exponent
-function E0) by applying the image map to both envelope ends and sorting.
+A joint distribution is stored as arrays: the marginal over Y, shape (y,),
+and one conditional row per outcome, shape (y, n); a channel as its
+transition matrix, shape (n_in, n_out). Every measure of a joint is an
+expectation over Y of a row entropy or a row alpha-norm, computed by the
+array kernels of :mod:`entnorm.simplex`. The Renyi and R-norm conditional
+entropies are strictly monotone images of the expected alpha-norm, so the
+envelopes of :mod:`entnorm.bounds` transfer to them (and, for channels
+under uniform input, to mutual information of any order and to the
+Gallager exponent function E0) by applying the image map to both
+envelope ends and sorting.
 """
 
 from __future__ import annotations
@@ -13,59 +17,58 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import bounds, curves
-from .simplex import DomainError, ProbVector, alpha_norm, shannon_entropy
+from .simplex import DomainError, alpha_norm, probabilities, shannon_entropy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on array fields has no single truth value
 class JointDist:
-    """Marginal over Y plus one n-ary conditional row per outcome of Y."""
+    """Marginal over Y plus one n-ary conditional row per outcome of Y.
 
-    py: ProbVector
-    rows: tuple[ProbVector, ...]
+    Both fields take any array-like (tuples of ProbVector included) and
+    hold read-only float arrays: py of shape (y,), rows of shape (y, n).
+    """
+
+    py: np.ndarray
+    rows: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.rows) != self.py.n:
-            raise DomainError(f"{len(self.rows)} rows for {self.py.n} outcomes of Y")
-        sizes = {row.n for row in self.rows}
-        if len(sizes) != 1:
-            raise DomainError(f"conditional rows disagree on alphabet size: {sorted(sizes)}")
+        py = probabilities(self.py, 1, "py")
+        rows = probabilities(self.rows, 2, "rows")
+        if len(rows) != len(py):
+            raise DomainError(f"{len(rows)} rows for {len(py)} outcomes of Y")
+        object.__setattr__(self, "py", py)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n(self) -> int:
-        return self.rows[0].n
+        return self.rows.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
-    """Transition matrix of a DMC: one row of output probabilities per input."""
+    """Transition matrix of a DMC, shape (n_in, n_out): one row of output probabilities per input."""
 
-    transitions: tuple[ProbVector, ...]
+    transitions: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.transitions:
-            raise DomainError("channel needs at least one input row")
-        sizes = {row.n for row in self.transitions}
-        if len(sizes) != 1:
-            raise DomainError(f"transition rows disagree on output size: {sorted(sizes)}")
+        object.__setattr__(self, "transitions", probabilities(self.transitions, 2, "transitions"))
 
     @property
     def n_in(self) -> int:
-        return len(self.transitions)
-
-    @property
-    def n_out(self) -> int:
-        return self.transitions[0].n
+        return self.transitions.shape[0]
 
 
 def cond_shannon(joint: JointDist) -> float:
     """Conditional Shannon entropy: expectation of the row entropies (nats)."""
-    return math.fsum(w * shannon_entropy(row) for w, row in zip(joint.py.values, joint.rows))
+    return float((joint.py * shannon_entropy(joint.rows)).sum(axis=-1))
 
 
 def expected_alpha_norm(joint: JointDist, alpha: float) -> float:
     """Expectation of the alpha-norm of the conditional rows."""
-    return math.fsum(w * alpha_norm(row, alpha) for w, row in zip(joint.py.values, joint.rows))
+    return float((joint.py * alpha_norm(joint.rows, alpha)).sum(axis=-1))
 
 
 def cond_renyi(joint: JointDist, alpha: float) -> float:
@@ -74,8 +77,6 @@ def cond_renyi(joint: JointDist, alpha: float) -> float:
     (alpha/(1-alpha)) ln E[||row||_alpha] for alpha != 1; at alpha = 1 the
     conditional Shannon entropy.
     """
-    if not alpha > 0.0:
-        raise DomainError(f"alpha={alpha!r} must be positive")
     if alpha == 1.0:
         return cond_shannon(joint)
     return renyi_map(alpha, expected_alpha_norm(joint, alpha))
@@ -89,13 +90,15 @@ def cond_rnorm(joint: JointDist, r: float) -> float:
 
 
 def renyi_map(alpha: float, norm: float) -> float:
-    """The map expected-norm -> Renyi entropy: (alpha/(1-alpha)) ln x."""
-    return alpha / (1.0 - alpha) * math.log(norm)
+    """The map expected-norm -> Renyi entropy: (alpha/(1-alpha)) ln x, -ln x at alpha = inf."""
+    scale = -1.0 if alpha == math.inf else alpha / (1.0 - alpha)
+    return scale * math.log(norm)
 
 
 def rnorm_map(r: float, norm: float) -> float:
-    """The map expected-norm -> R-norm information: (R/(R-1))(1 - x)."""
-    return r / (r - 1.0) * (1.0 - norm)
+    """The map expected-norm -> R-norm information: (R/(R-1))(1 - x), 1 - x at R = inf."""
+    scale = 1.0 if r == math.inf else r / (r - 1.0)
+    return scale * (1.0 - norm)
 
 
 def joint_from_channel_uniform(channel: Channel) -> JointDist:
@@ -104,17 +107,11 @@ def joint_from_channel_uniform(channel: Channel) -> JointDist:
     Outputs of probability zero are dropped: they carry no expectation
     weight and have no well-defined posterior row.
     """
-    n = channel.n_in
-    pys = []
-    rows = []
-    for y in range(channel.n_out):
-        py = math.fsum(row.values[y] for row in channel.transitions) / n
-        if py <= 0.0:
-            continue
-        pys.append(py)
-        rows.append(ProbVector(tuple(row.values[y] / (n * py) for row in channel.transitions)))
-    total = math.fsum(pys)
-    return JointDist(py=ProbVector(tuple(p / total for p in pys)), rows=tuple(rows))
+    t = channel.transitions
+    mass = t.sum(axis=0)  # n P(y)
+    kept = mass > 0.0
+    mass = mass[kept]
+    return JointDist(py=mass / mass.sum(), rows=t[:, kept].T / mass[:, None])
 
 
 def arimoto_mutual_uniform(channel: Channel, alpha: float) -> float:
@@ -130,14 +127,8 @@ def gallager_e0_uniform(channel: Channel, rho: float) -> float:
     """
     if not rho > -1.0:
         raise DomainError(f"rho={rho!r} must exceed -1")
-    n = channel.n_in
-    beta = 1.0 / (1.0 + rho)
-    acc = 0.0
-    for y in range(channel.n_out):
-        inner = math.fsum(row.values[y] ** beta for row in channel.transitions if row.values[y] > 0.0) / n
-        if inner > 0.0:
-            acc += inner ** (1.0 + rho)
-    return -math.log(acc)
+    inner = np.power(channel.transitions, 1.0 / (1.0 + rho)).sum(axis=0) / channel.n_in
+    return -math.log(float(np.power(inner, 1.0 + rho).sum()))
 
 
 def _mapped_range(n: int, alpha: float, h: float, image) -> tuple[float, float | None]:

@@ -18,9 +18,10 @@ import numpy as np
 
 from . import bounds, curves
 from .measures import JointDist
-from .simplex import DomainError, ProbVector, make_peaked, make_stepped, make_uniform
+from .simplex import DomainError, alpha_norm, make_peaked, make_stepped, make_uniform, shannon_entropy
 
 _CHUNK = 1 << 14  # verifier work unit; sub-seeded so worker count is irrelevant
+_BUDGET = 1 << 24  # floats of sampled rows per chunk: 16384 joints of 4 x 256
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,9 @@ def witness_min(n: int, h: float) -> JointDist:
     curves._check_n(n)
     m, lam = bounds._lower_chord(n, curves.clamp_entropy(n, h))
     if m >= n:
-        return JointDist(py=ProbVector((1.0,)), rows=(make_uniform(n),))
+        return JointDist(py=(1.0,), rows=(make_uniform(n),))
     rows = (make_stepped(n, 1.0 / m), make_stepped(n, 1.0 / (m + 1)))
-    return JointDist(py=ProbVector((lam, 1.0 - lam)), rows=rows)
+    return JointDist(py=(lam, 1.0 - lam), rows=rows)
 
 
 def witness_max(n: int, alpha: float, h: float) -> JointDist:
@@ -59,12 +60,9 @@ def witness_max(n: int, alpha: float, h: float) -> JointDist:
     h = curves.clamp_entropy(n, h)
     if h <= ts.h:
         row = make_peaked(n, curves.inv_entropy_peaked(n, h))
-        return JointDist(py=ProbVector((1.0,)), rows=(row,))
+        return JointDist(py=(1.0,), rows=(row,))
     lam = (lnn - h) / (lnn - ts.h)
-    return JointDist(
-        py=ProbVector((lam, 1.0 - lam)),
-        rows=(make_peaked(n, ts.p), make_uniform(n)),
-    )
+    return JointDist(py=(lam, 1.0 - lam), rows=(make_peaked(n, ts.p), make_uniform(n)))
 
 
 def _sample_simplex(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -86,11 +84,7 @@ def random_joint(n: int, y_size: int, seed: int) -> JointDist:
     _check_sampling(n, y_size, seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     py = _sample_simplex(rng, 1, y_size)[0]
-    rows = _sample_simplex(rng, y_size, n)
-    return JointDist(
-        py=ProbVector(tuple(py.tolist())),
-        rows=tuple(ProbVector(tuple(r.tolist())) for r in rows),
-    )
+    return JointDist(py=py, rows=_sample_simplex(rng, y_size, n))
 
 
 def sample_joint_batch(
@@ -101,31 +95,24 @@ def sample_joint_batch(
     return _sample_simplex(rng, count, y_size), _sample_simplex(rng, count, y_size, n)
 
 
-def _row_entropy(rows: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(rows > 0.0, rows * np.log(rows), 0.0)
-    return -t.sum(axis=-1)
-
-
-def _row_norm(rows: np.ndarray, alpha: float) -> np.ndarray:
-    if alpha == math.inf:
-        return rows.max(axis=-1)
-    return np.power(rows, alpha).sum(axis=-1) ** (1.0 / alpha)
-
-
-def _tally(samples: int, seed: int, excesses) -> VerifyReport:
+def _tally(samples: int, seed: int, width: int, excesses) -> VerifyReport:
     """Count excesses above 1e-9 over fixed chunks of the samples.
 
-    excesses(count, chunk_index) gives the lower and upper excesses of one
-    chunk (the upper may be None). Chunks draw from sub-seeds derived from
-    (seed, chunk), so the report does not depend on how they are scheduled.
+    Each sample takes width floats, and a chunk holds at most _CHUNK
+    samples and _BUDGET floats. excesses(count, chunk_index) gives the
+    lower and upper excesses of one chunk (the upper may be None). Chunks
+    draw from sub-seeds derived from (seed, chunk), so the report does not
+    depend on how they are scheduled.
     """
     if samples < 1:
         raise DomainError(f"samples={samples} must be >= 1")
+    chunk = min(_CHUNK, _BUDGET // width)
+    if chunk < 1:
+        raise DomainError(f"a sample of {width} floats exceeds the {_BUDGET}-float chunk budget")
     bad = [0, 0]
     max_excess = 0.0
-    for chunk_index, done in enumerate(range(0, samples, _CHUNK)):
-        for side, excess in enumerate(excesses(min(_CHUNK, samples - done), chunk_index)):
+    for chunk_index, done in enumerate(range(0, samples, chunk)):
+        for side, excess in enumerate(excesses(min(chunk, samples - done), chunk_index)):
             if excess is not None:
                 bad[side] += int((excess > 1e-9).sum())
                 max_excess = max(max_excess, float(excess.max()))
@@ -148,12 +135,12 @@ def verify_envelope(n: int, alpha: float, samples: int, seed: int, y_size: int =
 
     def excesses(count: int, chunk_index: int):
         py, rows = sample_joint_batch(n, y_size, count, seed, chunk_index)
-        h = np.clip((py * _row_entropy(rows)).sum(axis=1), 0.0, math.log(n))
-        norm = (py * _row_norm(rows, alpha)).sum(axis=1)
+        h = np.clip((py * shannon_entropy(rows)).sum(axis=1), 0.0, math.log(n))
+        norm = (py * alpha_norm(rows, alpha)).sum(axis=1)
         excess_up = norm - bounds._envelope_upper_vec(n, alpha, h) if check_upper else None
         return bounds._envelope_lower_vec(n, alpha, h) - norm, excess_up
 
-    return _tally(samples, seed, excesses)
+    return _tally(samples, seed, y_size * n, excesses)
 
 
 def verify_sandwich(n: int, alpha: float, samples: int, seed: int) -> VerifyReport:
@@ -168,13 +155,11 @@ def verify_sandwich(n: int, alpha: float, samples: int, seed: int) -> VerifyRepo
     def excesses(count: int, chunk_index: int):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
         pts = _sample_simplex(rng, count, n)
-        h = np.clip(_row_entropy(pts), 0.0, math.log(n))
-        x = _row_norm(pts, alpha)
-        lo = curves.norm_stepped(n, curves.inv_entropy_stepped(n, h), alpha)
-        hi = curves.norm_peaked(n, curves.inv_entropy_peaked(n, h), alpha)
+        lo, hi = bounds.sandwich_norm(pts, alpha)
+        x = alpha_norm(pts, alpha)
         return lo - x, x - hi
 
-    return _tally(samples, seed, excesses)
+    return _tally(samples, seed, n, excesses)
 
 
 @lru_cache(maxsize=64)

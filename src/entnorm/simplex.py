@@ -1,8 +1,12 @@
 """Probability vectors on the finite simplex and their basic functionals.
 
-Everything here works in nats (natural logarithm). The two parametric
-families ``make_peaked`` and ``make_stepped`` trace the extremal boundary
-curves used by the envelope machinery in :mod:`entnorm.bounds`.
+``probabilities`` is the one check that an array's rows are probability
+vectors; ``ProbVector``, ``measures.JointDist`` and ``measures.Channel``
+all validate through it. ``shannon_entropy`` and ``alpha_norm`` take a
+``ProbVector`` or an array and reduce over its last axis. Everything here
+works in nats (natural logarithm). The two parametric families
+``make_peaked`` and ``make_stepped`` trace the extremal boundary curves
+used by the envelope machinery in :mod:`entnorm.bounds`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SUM_TOL = 1e-12
-_ZERO_MASS = 1e-300  # below this a mass contributes 0 to -p*ln(p)
 
 
 class DomainError(ValueError):
@@ -24,6 +27,51 @@ class NumericalError(RuntimeError):
     """A numerical search failed (bracket without sign change, etc.)."""
 
 
+def probabilities(x, ndim: int, name: str) -> np.ndarray:
+    """x as a read-only float array of ndim axes whose rows (last axis) are probability vectors.
+
+    The one probability check: every entry finite and in [0, 1], every row
+    summing to 1, both within SUM_TOL. Entries within SUM_TOL below 0
+    become 0. DomainError names the first bad row.
+    """
+    try:
+        p = np.array(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"field '{name}'{_ragged_row(x) or f': {exc}'}") from None
+    if p.ndim != ndim or p.size == 0:
+        raise DomainError(f"field '{name}': need a non-empty {ndim}-D array, got shape {p.shape}")
+    # NaN fails both comparisons: it propagates through abs, max and sum
+    if not (abs(p - 0.5).max() <= 0.5 + SUM_TOL and abs(p.sum(axis=-1) - 1.0).max() <= SUM_TOL):
+        rows = p.reshape(-1, p.shape[-1])
+        inside = abs(rows - 0.5) <= 0.5 + SUM_TOL
+        total = rows.sum(axis=-1)
+        i = int((~inside.all(axis=-1) | ~(abs(total - 1.0) <= SUM_TOL)).argmax())
+        where = f"field '{name}'" + (f", row {i}" if ndim > 1 else "")
+        if not inside[i].all():
+            raise DomainError(f"{where}: entry {float(rows[i][~inside[i]][0])!r} outside [0, 1]")
+        raise DomainError(f"{where}: entries sum to {float(total[i])!r}, not 1")
+    np.maximum(p, 0.0, out=p)
+    p.flags.writeable = False
+    return p
+
+
+def _ragged_row(x) -> str | None:
+    """", row i: ..." for the first row of x shaped unlike row 0, if x is a sequence of rows."""
+    try:
+        shapes = [np.shape(r) for r in x]
+        i = next(i for i, s in enumerate(shapes) if s != shapes[0])
+    except (TypeError, ValueError, StopIteration):
+        return None
+    return f", row {i}: shape {shapes[i]} unlike row 0's {shapes[0]}"
+
+
+def _xlogx(x):
+    """x ln x, with 0 at x = 0, for a float or an array."""
+    if isinstance(x, np.ndarray):
+        return x * np.log(np.where(x > 0.0, x, 1.0))
+    return x * math.log(x) if x > 0.0 else 0.0
+
+
 @dataclass(frozen=True)
 class ProbVector:
     """An n-ary probability vector: entries in [0, 1] summing to 1."""
@@ -31,16 +79,10 @@ class ProbVector:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) < 1:
-            raise DomainError("probability vector needs at least one entry")
-        vals = tuple(float(v) for v in self.values)
-        for v in vals:
-            if not math.isfinite(v) or v < -SUM_TOL or v > 1.0 + SUM_TOL:
-                raise DomainError(f"entry {v!r} outside [0, 1]")
-        total = math.fsum(vals)
-        if abs(total - 1.0) > SUM_TOL:
-            raise DomainError(f"entries sum to {total!r}, not 1")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(probabilities(self.values, 1, "values").tolist()))
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.values, dtype=dtype)
 
     @property
     def n(self) -> int:
@@ -92,42 +134,31 @@ def make_stepped(n: int, p: float) -> ProbVector:
         raise DomainError("stepped family needs n >= 2")
     p = _clamp(p, 1.0 / n, 1.0, SUM_TOL, "p", f"[1/{n}, 1]")
     k = min(step_count(p), n)
-    rem = max(1.0 - k * p, 0.0)
-    vals = [p] * k
-    if k < n:
-        vals.append(rem)
-    vals.extend([0.0] * (n - len(vals)))
-    return ProbVector(tuple(vals))
+    vals = (p,) * k + (max(1.0 - k * p, 0.0),) + (0.0,) * (n - k - 1)
+    return ProbVector(vals[:n])  # no remainder when k = n
 
 
-def shannon_entropy(pv: ProbVector) -> float:
-    """-sum p_i ln p_i in nats, with 0 ln 0 = 0."""
-    return -math.fsum(v * math.log(v) for v in pv.values if v > _ZERO_MASS)
+def shannon_entropy(p):
+    """-sum p_i ln p_i in nats over the last axis, with 0 ln 0 = 0.
+
+    p is a ProbVector or an array of probability vectors (last axis).
+    """
+    return -_xlogx(np.asarray(p, dtype=float)).sum(axis=-1)
 
 
-def alpha_norm(pv: ProbVector, alpha: float) -> float:
-    """(sum p_i^alpha)^(1/alpha); the max entry at alpha = inf.
+def alpha_norm(p, alpha: float):
+    """(sum p_i^alpha)^(1/alpha) over the last axis; the max entry at alpha = inf.
 
+    p is a ProbVector or an array of probability vectors (last axis).
     Defined for alpha > 0. Values lie between 1 and n^(1/alpha - 1)
     (which side is larger depends on alpha vs 1).
     """
+    p = np.asarray(p, dtype=float)
     if alpha == math.inf:
-        return max(pv.values)
+        return p.max(axis=-1)
     if not alpha > 0.0:
         raise DomainError(f"alpha={alpha!r} must be positive")
-    return math.fsum(v**alpha for v in pv.values if v > 0.0) ** (1.0 / alpha)
-
-
-def binary_entropy(x: float) -> float:
-    """-x ln x - (1-x) ln(1-x), zero at both endpoints."""
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"x={x!r} outside [0, 1]")
-    out = 0.0
-    if x > _ZERO_MASS:
-        out -= x * math.log(x)
-    if 1.0 - x > _ZERO_MASS:
-        out -= (1.0 - x) * math.log(1.0 - x)
-    return out
+    return np.power(p, alpha).sum(axis=-1) ** (1.0 / alpha)
 
 
 def alpha_log(alpha: float, x: float) -> float:

@@ -40,7 +40,7 @@ from entnorm.oracle import (
     witness_max,
     witness_min,
 )
-from entnorm.simplex import ProbVector, alpha_log
+from entnorm.simplex import alpha_log
 
 LN = math.log
 
@@ -154,7 +154,7 @@ def test_criterion_07_e0_identity_and_containment():
             mats = rng.standard_exponential((1000, n_in, n_out))
             mats /= mats.sum(axis=2, keepdims=True)
             for mat in mats:
-                ch = Channel(tuple(ProbVector(tuple(r.tolist())) for r in mat))
+                ch = Channel(mat)
                 for rho in (-0.5, 0.25, 1.0, 2.0):
                     e0 = gallager_e0_uniform(ch, rho)
                     ident = rho * arimoto_mutual_uniform(ch, 1.0 / (1.0 + rho))

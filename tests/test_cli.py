@@ -180,6 +180,15 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--n", "8", "--alpha", "2", "--seed", "-1")
         assert code == 1 and out == "" and "seed" in err
 
+    def test_joint_beyond_chunk_budget_refused(self, capsys):
+        # ten joints of 1e8 binary rows would take 16 GB: refused before sampling
+        code, out, err = run(capsys, "verify", "--n", "2", "--alpha", "2", "--samples", "10", "--y-size", "100000000")
+        assert code == 1 and out == "" and err.count("\n") == 1
+
+    def test_nonpositive_order_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "8", "--alpha", "0", "--samples", "10")
+        assert code == 1 and out == "" and "alpha" in err
+
     def test_binary_alphabet_needed_before_sampling(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -202,7 +211,7 @@ class TestMeasures:
         j = witness_min(3, (LN(2) + LN(3)) / 2)
         path = tmp_path / "joint.json"
         path.write_text(
-            json.dumps({"py": list(j.py.values), "rows": [list(r.values) for r in j.rows]})
+            json.dumps({"py": j.py.tolist(), "rows": j.rows.tolist()})
         )
         code, out, _ = run(capsys, "measures", "--alpha", "2", "--input", str(path))
         assert code == 0
@@ -248,6 +257,17 @@ class TestMeasures:
         path.write_text(json.dumps({"py": [0.5, 0.5], "rows": [[0.6, 0.4], [0.7, 0.5]]}))
         code, _, err = run(capsys, "measures", "--alpha", "2", "--input", str(path))
         assert code == 2 and "row 1" in err
+
+    @pytest.mark.parametrize("data, where", [
+        ({"py": [0.5, "0.5"], "rows": [[1.0], [1.0]]}, "field 'py'"),
+        ({"py": [0.5, 0.5], "rows": [[1.0, 0.0], [0.5, "0.5"]]}, "field 'rows', row 1"),
+        ({"py": [0.5, 0.5], "rows": [[1.0, 0.0], [0.5, 0.25, 0.25]]}, "field 'rows', row 1"),
+    ])
+    def test_string_or_ragged_entries_name_field_and_row(self, capsys, tmp_path, data, where):
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "measures", "--alpha", "2", "--input", str(path))
+        assert code == 2 and out == "" and where in err
 
     def test_invalid_json_line_diagnostics(self, capsys, tmp_path):
         path = tmp_path / "joint.json"
@@ -298,6 +318,13 @@ class TestChannel:
     def test_needs_alpha_or_rho(self, capsys, tmp_path):
         code, _, err = run(capsys, "channel", "--input", str(self.write_bsc(tmp_path)))
         assert code == 1 and "--alpha or --rho" in err
+
+    @pytest.mark.parametrize("rows", [[[1.0, 0.0], [0.5, "0.5"]], [[1.0, 0.0], [1.0]]])
+    def test_string_or_ragged_entries_name_field_and_row(self, capsys, tmp_path, rows):
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps({"transitions": rows}))
+        code, out, err = run(capsys, "channel", "--rho", "1", "--input", str(path))
+        assert code == 2 and out == "" and "field 'transitions', row 1" in err
 
     def test_unknown_field_rejected(self, capsys, tmp_path):
         path = tmp_path / "ch.json"

@@ -9,7 +9,6 @@ from entnorm.simplex import (
     ProbVector,
     alpha_log,
     alpha_norm,
-    binary_entropy,
     make_peaked,
     make_stepped,
     make_uniform,
@@ -134,19 +133,6 @@ class TestAlphaNorm:
     @given(simplex_points())
     def test_order_one_is_unit(self, vals):
         assert alpha_norm(ProbVector(tuple(vals)), 1.0) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestBinaryEntropy:
-    def test_values(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
-        assert binary_entropy(0.5) == pytest.approx(LN(2), abs=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            binary_entropy(-0.01)
-        with pytest.raises(DomainError):
-            binary_entropy(1.01)
 
 
 class TestAlphaLog:
