@@ -124,11 +124,23 @@ def gallager_e0_uniform(channel: Channel, rho: float) -> float:
 
     -ln sum_y (sum_x P(y|x)^(1/(1+rho)) / n)^(1+rho). Under uniform input
     this equals rho times the order-1/(1+rho) mutual information.
+
+    Evaluated in log space, so no power underflows at any rho: with c_y the
+    largest entry of column y and r = P(y|x)/c_y, (1+rho) ln of the inner
+    mean is ln c_y + (1+rho) log1p(mean_x expm1(ln r/(1+rho))), and the sum
+    over y is a max-shifted log-sum-exp. expm1/log1p keep the small
+    differences 1 - r^(1/(1+rho)) that a large 1+rho multiplies.
     """
     if not rho > -1.0:
         raise DomainError(f"rho={rho!r} must exceed -1")
-    inner = np.power(channel.transitions, 1.0 / (1.0 + rho)).sum(axis=0) / channel.n_in
-    return -math.log(float(np.power(inner, 1.0 + rho).sum()))
+    t = channel.transitions
+    t = t[:, t.max(axis=0) > 0.0]  # outputs no input reaches add nothing
+    c = t.max(axis=0)
+    with np.errstate(divide="ignore"):  # ln 0 = -inf and expm1(-inf) = -1: a zero adds 0 to the mean
+        log_r = np.log(t / c)
+    log_terms = np.log(c) + (1.0 + rho) * np.log1p(np.expm1(log_r / (1.0 + rho)).mean(axis=0))
+    top = log_terms.max()
+    return -float(top + np.log(np.exp(log_terms - top).sum()))
 
 
 def _mapped_range(n: int, alpha: float, h: float, image) -> tuple[float, float | None]:

@@ -304,6 +304,17 @@ class TestChannel:
         assert payload["e0_lower"] == pytest.approx(0.0, abs=1e-6)
         assert payload["e0_upper"] == pytest.approx(0.0, abs=1e-6)
 
+    @pytest.mark.parametrize("flag, value, rho", [("--rho", "700", 700.0), ("--alpha", "1e-3", 999.0)])
+    def test_identity_channel_large_rho(self, capsys, tmp_path, flag, value, rho):
+        # every inner mean to the power 1 + rho is below the smallest float here
+        path = tmp_path / "id.json"
+        path.write_text(json.dumps({"transitions": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+        code, out, err = run(capsys, "channel", flag, value, "--input", str(path))
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["rho"] == pytest.approx(rho, rel=1e-15)
+        assert payload["e0"] == pytest.approx(payload["rho"] * LN(3), rel=1e-13)
+
     def test_bsc_containment(self, capsys, tmp_path):
         code, out, _ = run(capsys, "channel", "--rho", "1", "--input", str(self.write_bsc(tmp_path)))
         payload = json.loads(out)

@@ -379,7 +379,7 @@ class TestHighPrecisionReference:
                         assert j.py[y] == pytest.approx(float(sums[k] / total), rel=1e-13)
                         want = [float(v / sums[k]) for v in cols[k]]
                         assert j.rows[y].tolist() == pytest.approx(want, rel=1e-13, abs=0.0)
-                    for rho in (-0.5, 0.25, 1.0, 2.0):
+                    for rho in (-0.5, 0.25, 1.0, 2.0, 200.0, 700.0, 999.0):
                         beta = 1 / (1 + mpmath.mpf(rho))
                         inner = [mpmath.fsum(v**beta for v in c if v > 0) / n_in for c in cols]
                         e0 = -mpmath.log(mpmath.fsum(v ** (1 + mpmath.mpf(rho)) for v in inner))

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from entnorm import oracle
 from entnorm.bounds import (
     cond_entropy_range_for_norm,
     envelope_lower,
@@ -19,7 +21,7 @@ from entnorm.oracle import (
     witness_max,
     witness_min,
 )
-from entnorm.simplex import DomainError
+from entnorm.simplex import DomainError, alpha_norm, shannon_entropy
 
 LN = math.log
 
@@ -138,6 +140,33 @@ class TestVerifyEnvelope:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             verify_envelope(4, 2.0, 0, seed=7)
+
+    def test_memory_does_not_grow_with_the_chunk(self):
+        # two full chunks of 16384 joints of 4 x 256: 128 MB of rows per chunk if held whole
+        tracemalloc.start()
+        try:
+            rep = verify_envelope(256, 2.0, 32768, seed=7, y_size=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.violations_lower == 0 and rep.violations_upper == 0
+        assert peak < 16 * 2**20
+
+
+class TestChunkMeasures:
+    """The sliced evaluation of a verify chunk equals the kernels on the whole chunk, bit for bit."""
+
+    @pytest.mark.parametrize("n, y_size", [(2, 8), (3, 2), (8, 8), (256, 4), (70000, 1)])
+    @pytest.mark.parametrize("chunk_index", [0, 1])
+    def test_bitwise_whole_chunk(self, n, y_size, chunk_index):
+        step = max(1, oracle._BLOCK // (y_size * n))
+        count = 2 * step + step // 2 + 1  # three slices, the last one partial
+        py, rows = sample_joint_batch(n, y_size, count, seed=11, chunk_index=chunk_index)
+        for alpha in (0.3, 2.0, math.inf):
+            h, norm = oracle._chunk_measures(n, y_size, alpha, count, 11, chunk_index)
+            want_h = np.clip((py * shannon_entropy(rows)).sum(axis=1), 0.0, LN(n))
+            want_norm = (py * alpha_norm(rows, alpha)).sum(axis=1)
+            assert np.array_equal(h, want_h) and np.array_equal(norm, want_norm)
 
 
 class TestBruteForce:
