@@ -22,27 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curves
-from .curves import has_upper_envelope  # part of this module's API
-from .simplex import DomainError, _clamp, shannon_entropy
+from .curves import has_upper_envelope, norm_uniform  # part of this module's API
+from .simplex import DomainError, shannon_entropy
 
 _H_TOL = 1e-9
-
-
-def norm_uniform(m, alpha: float):
-    """alpha-norm of the uniform distribution on m symbols: m^(1/alpha - 1)."""
-    m = _clamp(m, 1.0, math.inf, 0.0, "m", "[1, inf)")
-    if alpha == math.inf:
-        return 1.0 / m
-    if not alpha > 0.0:
-        raise DomainError(f"alpha={alpha!r} must be positive")
-    return m ** (1.0 / alpha - 1.0)
-
-
-def _check_lower_order(alpha: float) -> None:
-    if alpha == 1.0:
-        raise DomainError("alpha=1 is degenerate: every norm equals 1")
-    if not alpha > 0.0:
-        raise DomainError(f"alpha={alpha!r} must be positive")
 
 
 def _lower_chord(n: int, h):
@@ -62,7 +45,7 @@ def _lower_chord(n: int, h):
 
 def _envelope_lower_vec(n: int, alpha: float, h):
     """envelope_lower at h already in [0, ln n], for a float or an array."""
-    _check_lower_order(alpha)
+    curves._check_order(alpha, finite=False)
     m, lam = _lower_chord(n, h)
     return lam * norm_uniform(m, alpha) + (1.0 - lam) * norm_uniform(m + 1, alpha)
 
@@ -185,9 +168,7 @@ def entropy_range_for_norm(n: int, alpha: float, norm: float) -> tuple[float, fl
     set by whether alpha is below or above 1.
     """
     curves._check_n(n)
-    _check_lower_order(alpha)
-    if not math.isfinite(alpha):
-        raise DomainError("order inf not supported for entropy inversion")
+    curves._check_order(alpha)
     norm = _check_norm(n, alpha, norm)
     h_peaked = curves.entropy_peaked(n, _peaked_p_at_norm(n, alpha, norm, 1.0 / n))
     # the stepped norm runs against the peaked one as p grows
@@ -218,6 +199,6 @@ def cond_entropy_range_for_norm(n: int, alpha: float, norm: float) -> tuple[floa
     e = 1.0 / alpha - 1.0
     m = min(max(math.floor(norm ** (1.0 / e)), 1), n - 1)
     u_m, u_next = norm_uniform(m, alpha), norm_uniform(m + 1, alpha)
-    t = min(max((norm - u_m) / (u_next - u_m), 0.0), 1.0)
+    t = min(max((norm - u_m) / (u_next - u_m), 0.0), 1.0) if u_next != u_m else 0.0  # flat in doubles near order 1
     h_lo = math.log(m) + t * (math.log(m + 1) - math.log(m))
     return (h_up, h_lo) if alpha < 1.0 else (h_lo, h_up)

@@ -250,16 +250,11 @@ def cmd_measures(args) -> int:
 
 def cmd_channel(args) -> int:
     channel = load_channel(args.input)
-    if args.rho is not None:
-        rho = args.rho
-        if not rho > -1.0:
-            raise UsageError(f"--rho must exceed -1, got {rho}")
-        alpha = 1.0 / (1.0 + rho)
-    else:
-        alpha = args.alpha
-        if not alpha > 0.0:
-            raise UsageError(f"--alpha must be positive, got {alpha}")
-        rho = 1.0 / alpha - 1.0
+    if args.rho is None and not args.alpha > 0.0:
+        raise UsageError(f"--alpha must be positive, got {args.alpha}")
+    rho = 1.0 / args.alpha - 1.0 if args.rho is None else args.rho
+    measures._check_rho(rho)
+    alpha = 1.0 / (1.0 + rho) if args.rho is not None else args.alpha
     n = channel.n_in
     # under uniform input I_a = ln n - H_a(X|Y): one posterior serves both orders
     joint = measures.joint_from_channel_uniform(channel)

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .simplex import SUM_TOL, DomainError, NumericalError, _clamp, _xlogx, step_count
+from .simplex import SUM_TOL, DomainError, NumericalError, _clamp, _finite, _norm, _pow, _power_sum, _xlogx, step_count
 
 _HALVINGS = 64  # leaves a root within 2^-65 of its bracket's width
 _H_SLACK = 1e-9  # entropies this far outside [0, ln n] are clipped, not rejected
@@ -84,26 +84,26 @@ def _check_n(n: int, least: int = 2) -> None:
         raise DomainError(f"n={n} must be >= {least}")
 
 
-def _check_order(alpha: float) -> None:
-    """Orders for which the norm derivative is defined: (0,1) or (1,inf), finite."""
-    if not (alpha > 0.0 and alpha != 1.0 and math.isfinite(alpha)):
-        raise DomainError(f"alpha={alpha!r} must be finite, positive and != 1")
+def _order_ok(alpha: float, n: int | None, finite: bool) -> bool:
+    """The one order-domain decision of the envelopes.
+
+    alpha > 0 and != 1 (every norm is 1 at order 1), finite if asked; given
+    n, the upper envelope's domain, which also needs alpha >= 1/2 unless n = 2.
+    """
+    return alpha > 0.0 and alpha != 1.0 and (alpha < math.inf or not finite) and (n in (None, 2) or alpha >= 0.5)
+
+
+def _check_order(alpha: float, n: int | None = None, finite: bool = True) -> None:
+    """DomainError naming the order where _order_ok refuses it."""
+    if not _order_ok(alpha, n, finite):
+        need = ("a finite" if finite else "a") + " positive alpha != 1" + (", and alpha >= 1/2 for n >= 3" if n else "")
+        where = f" for n={n}: the upper envelope needs" if n else ": the envelopes need"
+        raise DomainError(f"unsupported order alpha={alpha!r}{where} {need}")
 
 
 def has_upper_envelope(n: int, alpha: float) -> bool:
     """Whether the tight upper envelope is available for this (n, alpha)."""
-    if alpha == 1.0 or not (alpha > 0.0 and math.isfinite(alpha)):
-        return False
-    return n == 2 or alpha >= 0.5
-
-
-def _check_upper_order(n: int, alpha: float) -> None:
-    """Orders for which the upper envelope construction is proven to work."""
-    if not has_upper_envelope(n, alpha):
-        raise DomainError(
-            f"unsupported order alpha={alpha!r} for n={n}: the upper envelope needs a finite "
-            "positive alpha != 1, and alpha >= 1/2 for n >= 3"
-        )
+    return _order_ok(alpha, n, True)
 
 
 def _entropy_peaked(n: int, p):
@@ -137,12 +137,7 @@ def norm_peaked(n: int, p, alpha: float):
     """alpha-norm of the peaked vector, ((n-1)p^alpha + (1-(n-1)p)^alpha)^(1/alpha)."""
     _check_n(n)
     p = _clamp(p, 0.0, 1.0 / n, math.inf, "p", f"[0, 1/{n}]")
-    q = 1.0 - (n - 1) * p
-    if alpha == math.inf:
-        return q
-    if not alpha > 0.0:
-        raise DomainError(f"alpha={alpha!r} must be positive")
-    return ((n - 1) * p**alpha + q**alpha) ** (1.0 / alpha)
+    return _norm(n, alpha, (1.0 - (n - 1) * p, p), (1.0, n - 1))[0]
 
 
 def norm_stepped(n: int, p, alpha: float):
@@ -150,12 +145,14 @@ def norm_stepped(n: int, p, alpha: float):
     _check_n(n)
     p = _clamp(p, 1.0 / n, 1.0, math.inf, "p", f"[1/{n}, 1]")
     k = step_count(p)
-    r = _clip(1.0 - k * p, 0.0, 1.0)
-    if alpha == math.inf:
-        return _where(p >= r, p, r)
-    if not alpha > 0.0:
-        raise DomainError(f"alpha={alpha!r} must be positive")
-    return (k * p**alpha + r**alpha) ** (1.0 / alpha)
+    return _norm(n, alpha, (p, _clip(1.0 - k * p, 0.0, 1.0)), (k, 1.0))[0]
+
+
+def norm_uniform(m, alpha: float):
+    """alpha-norm of the uniform distribution on m symbols: m^(1/alpha - 1)."""
+    m = _clamp(m, 1.0, math.inf, 0.0, "m", "[1, inf)")
+    _, s = _power_sum(1, alpha, (1.0, 0.0), (m, 0.0))  # m ones: s = m at every order, and 1 needs no shift
+    return _pow(s, 1.0 / alpha - 1.0, alpha)
 
 
 def inv_entropy_peaked(n: int, h):
@@ -192,13 +189,23 @@ def dnorm_dh_peaked(n: int, p: float, alpha: float) -> float:
     Only defined strictly inside the curve: the limits at the endpoints are
     0 or +inf depending on alpha and are the caller's business.
     """
+    return _norm_slope(n, p, alpha)[1]
+
+
+def _norm_slope(n: int, p: float, alpha: float) -> tuple[float, float]:
+    """(norm_peaked, dnorm_dh_peaked) at p from one power sum, its shift c taken out of every power."""
     _check_n(n)
     _check_order(alpha)
     if not (0.0 < p < 1.0 / n):
         raise DomainError(f"p={p!r} outside the open interval (0, 1/{n})")
     q = 1.0 - (n - 1) * p
-    s = (n - 1) * p**alpha + q**alpha
-    return s ** (1.0 / alpha - 1.0) * (p ** (alpha - 1.0) - q ** (alpha - 1.0)) / (math.log(q) - math.log(p))
+    norm, c, s = _norm(n, alpha, (q, p), (1.0, n - 1))
+    try:
+        d = s ** (1.0 / alpha - 1.0) * ((p / c) ** (alpha - 1.0) - (q / c) ** (alpha - 1.0))
+        d /= math.log(q) - math.log(p)
+    except (OverflowError, ZeroDivisionError):
+        d = math.inf
+    return norm, _finite(d, alpha)
 
 
 def curvature_sign(n: int, p: float, alpha: float) -> float:
@@ -249,7 +256,7 @@ def inflection_point(n: int, alpha: float) -> InflectionPoint:
     alpha in [1/2, 1) or (1, inf).
     """
     _check_n(n, least=3)
-    _check_upper_order(n, alpha)
+    _check_order(alpha, n)
     return _inflection_cached(int(n), float(alpha))
 
 
@@ -269,9 +276,9 @@ def _inflection_cached(n: int, alpha: float) -> InflectionPoint:
             break
         delta *= 1e-2
     if hi is None or f_lo >= 0.0:
-        raise NumericalError(
-            f"no sign change bracketing the inflection for n={n}, alpha={alpha}: "
-            f"g({lo})={f_lo}, g(~1/n)={f_hi}"
+        raise DomainError(
+            f"unsupported order alpha={alpha!r} for n={n}: no sign change of the curvature brackets "
+            f"the inflection in double precision, g({lo})={f_lo}, g(~1/n)={f_hi}"
         )
     p = bisect(lambda p: curvature_sign(n, p, alpha), lo, hi)
     return InflectionPoint(n=n, alpha=alpha, h=entropy_peaked(n, p), p=p)
@@ -283,8 +290,13 @@ def tangent_residual(n: int, p: float, alpha: float) -> float:
     Zero exactly when the tangent line of the peaked curve at p passes
     through the uniform endpoint (ln n, n^(1/alpha-1)).
     """
-    gap = math.log(n) - entropy_peaked(n, p)
-    return gap * dnorm_dh_peaked(n, p, alpha) - (n ** (1.0 / alpha - 1.0) - norm_peaked(n, p, alpha))
+    return _residual(n, p, alpha, norm_uniform(n, alpha))
+
+
+def _residual(n: int, p: float, alpha: float, u: float) -> float:
+    """tangent_residual with the uniform endpoint's norm u given, which a solve computes once."""
+    norm, slope = _norm_slope(n, p, alpha)
+    return (math.log(n) - entropy_peaked(n, p)) * slope - (u - norm)
 
 
 def solve_tangent_generic(n: int, alpha: float) -> float:
@@ -293,22 +305,21 @@ def solve_tangent_generic(n: int, alpha: float) -> float:
     Brackets the unique root of tangent_residual between ~0 and the
     inflection parameter. Needs n >= 3.
     """
-    _check_n(n, least=3)
-    _check_upper_order(n, alpha)
-    hi = inflection_point(n, alpha).p
-    f_hi = tangent_residual(n, hi, alpha)
+    hi = inflection_point(n, alpha).p  # checks n >= 3 and the order
+    u = norm_uniform(n, alpha)
+    f_hi = _residual(n, hi, alpha, u)
     lo = 1e-14
-    f_lo = tangent_residual(n, lo, alpha)
+    f_lo = _residual(n, lo, alpha, u)
     while f_lo * f_hi > 0.0 and lo > 1e-30:
         lo *= 1e-4
-        f_lo = tangent_residual(n, lo, alpha)
+        f_lo = _residual(n, lo, alpha, u)
     if f_lo * f_hi > 0.0:
         raise NumericalError(
             f"tangent bracket failed for n={n}, alpha={alpha}: "
             f"F({lo})={f_lo}, F({hi})={f_hi}"
         )
     sign = 1.0 if f_hi > 0.0 else -1.0  # bisect wants the function negative below the root
-    return bisect(lambda p: sign * tangent_residual(n, p, alpha), lo, hi)
+    return bisect(lambda p: sign * _residual(n, p, alpha, u), lo, hi)
 
 
 @lru_cache(maxsize=None)
@@ -329,5 +340,5 @@ def tangent_point(n: int, alpha: float) -> TangentPoint:
     to p = 1/2 (the uniform endpoint itself), for any order.
     """
     _check_n(n)
-    _check_upper_order(n, alpha)
+    _check_order(alpha, n)
     return _tangent_cached(int(n), float(alpha))

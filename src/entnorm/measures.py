@@ -84,8 +84,7 @@ def cond_renyi(joint: JointDist, alpha: float) -> float:
 
 def cond_rnorm(joint: JointDist, r: float) -> float:
     """Conditional R-norm information: (R/(R-1))(1 - E[||row||_R])."""
-    if not r > 0.0 or r == 1.0:
-        raise DomainError(f"R={r!r} must be positive and != 1")
+    curves._check_order(r, finite=False)
     return rnorm_map(r, expected_alpha_norm(joint, r))
 
 
@@ -119,6 +118,12 @@ def arimoto_mutual_uniform(channel: Channel, alpha: float) -> float:
     return math.log(channel.n_in) - cond_renyi(joint_from_channel_uniform(channel), alpha)
 
 
+def _check_rho(rho: float) -> None:
+    """The E0 parameter's domain: finite and above -1, the order 1/(1+rho) then positive."""
+    if not -1.0 < rho < math.inf:
+        raise DomainError(f"rho={rho!r} must be finite and exceed -1")
+
+
 def gallager_e0_uniform(channel: Channel, rho: float) -> float:
     """Gallager's E0 at parameter rho under uniform input.
 
@@ -131,8 +136,7 @@ def gallager_e0_uniform(channel: Channel, rho: float) -> float:
     over y is a max-shifted log-sum-exp. expm1/log1p keep the small
     differences 1 - r^(1/(1+rho)) that a large 1+rho multiplies.
     """
-    if not rho > -1.0:
-        raise DomainError(f"rho={rho!r} must exceed -1")
+    _check_rho(rho)
     t = channel.transitions
     t = t[:, t.max(axis=0) > 0.0]  # outputs no input reaches add nothing
     c = t.max(axis=0)
@@ -197,8 +201,7 @@ def e0_range_for_mutual(n: int, rho: float, i: float) -> tuple[float | None, flo
     mutual-information range. The lower bound exists for rho in (-1, 1]
     (where 1/(1+rho) >= 1/2) and is None for rho > 1.
     """
-    if not rho > -1.0:
-        raise DomainError(f"rho={rho!r} must exceed -1")
+    _check_rho(rho)
     if rho == 0.0:
         return (0.0, 0.0)
     alpha = 1.0 / (1.0 + rho)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bounds, curves
 from .measures import JointDist
-from .simplex import DomainError, alpha_norm, make_peaked, make_stepped, make_uniform, shannon_entropy
+from .simplex import DomainError, NumericalError, alpha_norm, make_peaked, make_stepped, make_uniform, shannon_entropy
 
 # _CHUNK and _BUDGET fix the seeding unit: a chunk's joints come from one
 # sub-seed, so changing either changes the reports. _BLOCK changes no result,
@@ -146,6 +146,8 @@ def _tally(samples: int, seed: int, width: int, excesses) -> VerifyReport:
     for chunk_index, done in enumerate(range(0, samples, chunk)):
         for side, excess in enumerate(excesses(min(chunk, samples - done), chunk_index)):
             if excess is not None:
+                if not np.isfinite(excess).all():  # NaN > 1e-9 is False: it would pass silently
+                    raise NumericalError(f"non-finite envelope excess in chunk {chunk_index} of seed {seed}")
                 bad[side] += int((excess > 1e-9).sum())
                 max_excess = max(max_excess, float(excess.max()))
     return VerifyReport(

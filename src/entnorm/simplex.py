@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SUM_TOL = 1e-12
+_LOG_TINY = 700.0  # e^-700 ~ 1e-304: a power sum at least this large is a normal double
 
 
 class DomainError(ValueError):
@@ -146,6 +147,55 @@ def shannon_entropy(p):
     return -_xlogx(np.asarray(p, dtype=float)).sum(axis=-1)
 
 
+def _power_sum(n: int, alpha: float, values, weights=None):
+    """(c, s) with sum_i w_i v_i^alpha = c^alpha s: the one power sum behind every alpha-norm.
+
+    values: an array summed over its last axis, or a pair of floats (through
+    math) or arrays (elementwise) weighted by a pair of weights; the masses
+    of a probability vector on n symbols, so the largest is at least 1/n.
+    c = 1 leaves s the plain sum, unless alpha > 1 and alpha ln n > _LOG_TINY
+    could underflow it: then c is the largest value and s lies in [1, n]
+    (at alpha = inf, s^0 = 1 leaves c). The only check that alpha > 0.
+    """
+    if not alpha > 0.0:
+        raise DomainError(f"alpha={alpha!r} must be positive")
+    shift = alpha > 1.0 and alpha * math.log(n) > _LOG_TINY
+    if isinstance(values, tuple):
+        (v0, v1), (w0, w1) = values, weights
+        c = 1.0
+        if shift:
+            c = np.maximum(v0, v1) if isinstance(v0, np.ndarray) else max(v0, v1)
+        return c, w0 * (v0 / c) ** alpha + w1 * (v1 / c) ** alpha
+    if not shift:
+        return 1.0, np.power(values, alpha).sum(axis=-1)
+    c = values.max(axis=-1)
+    return c, np.power(values / c[..., None], alpha).sum(axis=-1)
+
+
+def _finite(y, alpha: float):
+    """y (a float or an array), or DomainError naming the order when it is not a finite double."""
+    if not (math.isfinite(y) if isinstance(y, float) else np.isfinite(y).all()):
+        raise DomainError(f"unsupported order alpha={alpha!r}: a value at this order is not a finite double")
+    return y
+
+
+def _pow(x, e: float, alpha: float):
+    """x^e for a float (through math) or an array, through _finite."""
+    if type(x) is not float:
+        with np.errstate(over="ignore", divide="ignore"):
+            return _finite(x**e, alpha)
+    try:
+        return _finite(x**e, alpha)
+    except (OverflowError, ZeroDivisionError):
+        return _finite(math.inf, alpha)
+
+
+def _norm(n: int, alpha: float, values, weights=None):
+    """(norm, c, s): the alpha-norm (sum_i w_i v_i^alpha)^(1/alpha) and the _power_sum behind it."""
+    c, s = _power_sum(n, alpha, values, weights)
+    return c * _pow(s, 1.0 / alpha, alpha), c, s
+
+
 def alpha_norm(p, alpha: float):
     """(sum p_i^alpha)^(1/alpha) over the last axis; the max entry at alpha = inf.
 
@@ -154,11 +204,7 @@ def alpha_norm(p, alpha: float):
     (which side is larger depends on alpha vs 1).
     """
     p = np.asarray(p, dtype=float)
-    if alpha == math.inf:
-        return p.max(axis=-1)
-    if not alpha > 0.0:
-        raise DomainError(f"alpha={alpha!r} must be positive")
-    return np.power(p, alpha).sum(axis=-1) ** (1.0 / alpha)
+    return _norm(p.shape[-1], alpha, p)[0]
 
 
 def alpha_log(alpha: float, x: float) -> float:

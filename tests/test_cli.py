@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entnorm.cli import main
 from entnorm.measures import cond_shannon, expected_alpha_norm
@@ -315,6 +318,21 @@ class TestChannel:
         assert payload["rho"] == pytest.approx(rho, rel=1e-15)
         assert payload["e0"] == pytest.approx(payload["rho"] * LN(3), rel=1e-13)
 
+    @pytest.mark.parametrize("argv", [["channel", "--alpha", "5e-324"], ["channel", "--rho", "inf"],
+                                      ["eval", "--n", "3", "--rho", "inf", "--i", "0.5"]])
+    def test_non_finite_rho_names_rho(self, capsys, tmp_path, argv):
+        path = tmp_path / "id.json"
+        path.write_text(json.dumps({"transitions": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+        code, out, err = run(capsys, *argv, *(["--input", str(path)] if argv[0] == "channel" else []))
+        assert code == 1 and out == "" and err.count("\n") == 1 and "rho=inf" in err
+
+    def test_identity_channel_huge_rho_one_line(self, capsys, tmp_path):
+        # order 1e-6: the uniform norms of the E0 bounds are far beyond any double
+        path = tmp_path / "id.json"
+        path.write_text(json.dumps({"transitions": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+        code, out, err = run(capsys, "channel", "--rho", "1e6", "--input", str(path))
+        assert code == 1 and out == "" and err.count("\n") == 1 and "unsupported order alpha" in err
+
     def test_bsc_containment(self, capsys, tmp_path):
         code, out, _ = run(capsys, "channel", "--rho", "1", "--input", str(self.write_bsc(tmp_path)))
         payload = json.loads(out)
@@ -342,6 +360,41 @@ class TestChannel:
         path.write_text(json.dumps({"transitions": [[1.0]], "name": "x"}))
         code, _, err = run(capsys, "channel", "--rho", "1", "--input", str(path))
         assert code == 2
+
+
+class TestExtremeOrders:
+    @pytest.mark.parametrize("argv", [["tangent", "--n", "8", "--alpha", "1000"],
+                                      ["eval", "--n", "8", "--alpha", "1000", "--h", "1"],
+                                      ["eval", "--n", "3", "--rho", "-0.999999", "--i", "0.5"]])
+    def test_large_orders_answer(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and all(math.isfinite(v) for v in json.loads(out).values() if v is not None)
+
+    def test_measures_large_order(self, capsys, tmp_path):
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps({"py": [0.5, 0.5], "rows": [[0.7, 0.2, 0.1], [0.3, 0.3, 0.4]]}))
+        code, out, err = run(capsys, "measures", "--alpha", "1000", "--input", str(path))
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["lower"] <= payload["expected_norm"] <= payload["upper"]
+
+    # at n = 2 and order 1e4 every direct power underflowed: 64 false lower violations, exit 3
+    @pytest.mark.parametrize("n, alpha, samples, y", [("8", "1000", "20000", "4"), ("2", "1e4", "64", "3")])
+    def test_large_order_verify_has_no_violations(self, capsys, n, alpha, samples, y):
+        code, out, _ = run(capsys, "verify", "--n", n, "--alpha", alpha, "--samples", samples, "--y-size", y)
+        payload = json.loads(out)
+        assert code == 0 and payload["violations_lower"] == 0 and payload["violations_upper"] == 0
+
+    @pytest.mark.parametrize("argv", [["eval", "--n", "8", "--alpha", "1e-3", "--h", "1"],
+                                      ["verify", "--n", "2", "--alpha", "1e-300"],
+                                      ["verify", "--n", "3", "--alpha", "1e-300", "--samples", "1000"],
+                                      # exited 0 over 1000 NaN excesses: the norms overflow
+                                      ["verify", "--n", "8", "--alpha", "1e-3", "--samples", "1000"],
+                                      ["curve", "--n", "8", "--alpha", "1e300", "--grid", "8"]])
+    def test_orders_beyond_doubles_exit_one_naming_the_order(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "unsupported" in err and "alpha" in err
 
 
 class TestUsage:
@@ -374,3 +427,80 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["p_star"] == pytest.approx(1 / 6, abs=1e-15)
+
+
+# Numbers from the whole float range, with the edges spelled out, and orders inside the domain.
+_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.0, -1.0, 0.5]
+_NUMBER = st.one_of(st.sampled_from(_EDGES), st.floats(), st.floats(1e-3, 1e4), st.floats(0.0, 3.0))
+_N = st.one_of(st.integers(-1, 12), st.integers(2, 10**6))
+
+
+def _flag(name, x):
+    return f"--{name}={x!r}"  # '=' keeps '-inf' and '-1e+300' from reading as flags
+
+
+@st.composite
+def _argv(draw, files):
+    cmd = draw(st.sampled_from(["curve", "eval", "tangent", "verify", "measures", "channel"]))
+    n = draw(_N)
+    if cmd == "curve":
+        argv = ["curve", f"--n={n}", _flag("alpha", draw(_NUMBER)), f"--grid={draw(st.integers(-1, 64))}",
+                f"--format={draw(st.sampled_from(['csv', 'json']))}"]
+    elif cmd == "eval":
+        argv = ["eval", f"--n={n}", _flag(draw(st.sampled_from(["h", "N", "i"])), draw(_NUMBER))]
+        argv += [_flag(k, draw(_NUMBER)) for k in draw(st.sampled_from([["alpha"], ["rho"], ["alpha", "rho"], []]))]
+    elif cmd == "tangent":
+        argv = ["tangent", f"--n={n}", _flag("alpha", draw(_NUMBER))]
+    elif cmd == "verify":
+        y = draw(st.integers(-1, 8))
+        if abs(n) * max(y, 1) > 1 << 20:
+            y = 1  # at most 2^20 row entries: the widest alphabets draw one small joint
+        samples = min(draw(st.integers(-1, 256)), max(1, (1 << 20) // (abs(n) * max(y, 1) or 1)))
+        argv = ["verify", f"--n={n}", _flag("alpha", draw(_NUMBER)), f"--samples={samples}",
+                f"--seed={draw(st.integers(-1, 3))}", f"--y-size={y}"]
+    else:
+        argv = [cmd, f"--input={draw(st.sampled_from(files[cmd]))}"]
+        argv += [_flag(k, draw(_NUMBER)) for k in ("alpha", "rho") if cmd == "channel" and draw(st.booleans())]
+        if cmd == "measures" or draw(st.booleans()):
+            argv.append(_flag("alpha", draw(_NUMBER)))
+    if draw(st.booleans()):
+        argv.append("--bits")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    docs = {
+        "measures": [{"py": [1.0], "rows": [[1.0, 0.0, 0.0]]},
+                     {"py": [0.5, 0.5], "rows": [[0.25] * 4, [0.7, 0.1, 0.1, 0.1]]},
+                     {"py": [0.2, 0.3, 0.5], "rows": [[0.5, 0.5], [1.0, 0.0], [0.1, 0.9]]}],
+        "channel": [{"transitions": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+                    {"transitions": [[0.9, 0.1], [0.1, 0.9]]},
+                    {"transitions": [[0.4, 0.6], [0.4, 0.6], [0.4, 0.6]]},
+                    {"transitions": [[0.5, 0.25, 0.25, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4, 0.0],
+                                     [0.0, 0.0, 0.0, 0.0, 1.0], [0.2, 0.2, 0.2, 0.2, 0.2]]}],
+    }
+    files = {}
+    for cmd, objs in docs.items():
+        files[cmd] = []
+        for i, obj in enumerate(objs):
+            path = root / f"{cmd}{i}.json"
+            path.write_text(json.dumps(obj))
+            files[cmd].append(str(path))
+    return files
+
+
+def test_any_argv_exits_with_a_documented_code(fuzz_files):
+    # the RuntimeWarning filter turns any numpy warning inside main into a failure here
+    @settings(max_examples=1500)
+    @given(_argv(fuzz_files))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+        if code in (1, 2):
+            assert err.getvalue().count("\n") == 1 and out.getvalue() == "", (argv, err.getvalue())
+
+    check()

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,11 +16,12 @@ from entnorm.curves import (
     inv_entropy_stepped,
     norm_peaked,
     norm_stepped,
+    norm_uniform,
     solve_tangent_generic,
     tangent_point,
     tangent_residual,
 )
-from entnorm.simplex import DomainError, NumericalError, make_stepped, shannon_entropy
+from entnorm.simplex import DomainError, NumericalError, alpha_norm, make_stepped, shannon_entropy
 
 LN = math.log
 
@@ -286,3 +289,68 @@ def test_stepped_curve_piecewise_concavity(alpha):
         ns = np.array([b for _, b in pts])
         slopes = np.diff(ns) / np.diff(hs)
         assert np.all(np.diff(slopes) <= 1e-9)
+
+
+class TestExtremeOrders:
+    """Every norm site against 50-digit mpmath, from orders near 0 to 1e6."""
+
+    DBL_MAX = mp.mpf(sys.float_info.max)
+
+    @pytest.fixture(autouse=True)
+    def fifty_digits(self):
+        with mp.workdps(50):
+            yield
+
+    @staticmethod
+    def mp_norm(terms, a):
+        a = mp.mpf(a)
+        return mp.fsum(w * mp.mpf(v) ** a for w, v in terms if v > 0) ** (1 / a)
+
+    def check(self, value, ref):
+        """value() within 1e-13 of ref, or DomainError where ref is no finite double."""
+        if abs(ref) > self.DBL_MAX:
+            with pytest.raises(DomainError, match="alpha"):
+                value()
+        else:
+            assert abs(value() - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("n", [2, 8, 10**4])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5, 2.0, 40.0, 300.0, 1000.0, 1e6])
+    def test_kernel_sites_match_mpmath(self, n, alpha):
+        a = mp.mpf(alpha)
+        for p in (1e-300, 1e-12, 0.3 / n, 0.9 / n):
+            pm = mp.mpf(p)
+            q = 1 - (n - 1) * pm
+            ref = self.mp_norm([(1, q), (n - 1, pm)], alpha)
+            self.check(lambda: norm_peaked(n, p, alpha), ref)
+            slope = ref ** (1 - a) * (pm ** (a - 1) - q ** (a - 1)) / (mp.log(q) - mp.log(pm))
+            self.check(lambda: dnorm_dh_peaked(n, p, alpha), slope)
+        for p in (1.0 / n, 0.3, 0.7, 1.0):
+            if p >= 1.0 / n:
+                pm = mp.mpf(p)
+                k = int(mp.floor(1 / pm + mp.mpf("1e-9")))
+                self.check(lambda: norm_stepped(n, p, alpha), self.mp_norm([(k, pm), (1, 1 - k * pm)], alpha))
+        self.check(lambda: norm_uniform(n, alpha), mp.mpf(n) ** (1 / a - 1))
+        v = np.random.default_rng(n).standard_exponential(n)
+        v /= v.sum()
+        self.check(lambda: alpha_norm(v, alpha), self.mp_norm([(1, float(x)) for x in v], alpha))
+
+    @pytest.mark.parametrize("n, alpha, bracket", [(8, 1000.0, ("0.12", "0.12495")),
+                                                   (5000, 500.0, ("0.000199", "0.0001999995"))])
+    def test_large_order_tangent_point(self, n, alpha, bracket):
+        # the tangency condition in mpmath, with every power evaluated exactly
+        nm, a = mp.mpf(n), mp.mpf(alpha)
+
+        def residual(p):
+            q = 1 - (nm - 1) * p
+            norm = (q**a + (nm - 1) * p**a) ** (1 / a)
+            h = -q * mp.log(q) - (nm - 1) * p * mp.log(p)
+            slope = norm ** (1 - a) * (p ** (a - 1) - q ** (a - 1)) / (mp.log(q) - mp.log(p))
+            return (mp.log(nm) - h) * slope - (nm ** (1 / a - 1) - norm)
+
+        want = mp.findroot(residual, tuple(mp.mpf(b) for b in bracket), solver="anderson")
+        assert abs(tangent_point(n, alpha).p - want) <= 1e-9
+
+    def test_huge_order_named_unsupported(self):
+        with pytest.raises(DomainError, match="unsupported order alpha=1e\\+300"):
+            inflection_point(8, 1e300)

@@ -21,7 +21,7 @@ from entnorm.oracle import (
     witness_max,
     witness_min,
 )
-from entnorm.simplex import DomainError, alpha_norm, shannon_entropy
+from entnorm.simplex import DomainError, NumericalError, alpha_norm, shannon_entropy
 
 LN = math.log
 
@@ -151,6 +151,16 @@ class TestVerifyEnvelope:
             tracemalloc.stop()
         assert rep.violations_lower == 0 and rep.violations_upper == 0
         assert peak < 16 * 2**20
+
+
+class TestTally:
+    def test_non_finite_excess_raises(self):
+        # NaN > 1e-9 is False and max(0.0, nan) is 0.0: without the check this reports a clean pass
+        def excesses(count, chunk_index):
+            return np.full(count, np.nan), None
+
+        with pytest.raises(NumericalError, match="non-finite"):
+            oracle._tally(10, 0, 4, excesses)
 
 
 class TestChunkMeasures:
