@@ -19,11 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import curves
 from .curves import has_upper_envelope, norm_uniform  # part of this module's API
-from .simplex import DomainError, shannon_entropy
+from .simplex import DomainError, is_array, np, shannon_entropy
 
 _H_TOL = 1e-9
 
@@ -47,7 +45,9 @@ def _envelope_lower_vec(n: int, alpha: float, h):
     """envelope_lower at h already in [0, ln n], for a float or an array."""
     curves._check_order(alpha, finite=False)
     m, lam = _lower_chord(n, h)
-    return lam * norm_uniform(m, alpha) + (1.0 - lam) * norm_uniform(m + 1, alpha)
+    # where lam = 1 the far end has weight 0: take it at m, whose norm is finite if the value is
+    far = curves._where(lam < 1.0, m + 1, m)
+    return lam * norm_uniform(m, alpha) + (1.0 - lam) * norm_uniform(far, alpha)
 
 
 def _envelope_upper_vec(n: int, alpha: float, h):
@@ -62,7 +62,7 @@ def _envelope_upper_vec(n: int, alpha: float, h):
         lam = (lnn - x) / (lnn - ts.h)
         return lam * ts.norm + (1.0 - lam) * norm_uniform(n, alpha)
 
-    if not isinstance(h, np.ndarray):
+    if not is_array(h):
         return curve(h) if h <= ts.h else segment(h)
     # each piece only on its own entries: the curve costs a bisection per entry
     out = np.empty_like(h)

@@ -23,10 +23,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import bounds, curves, measures, oracle
-from .simplex import DomainError, NumericalError
+from .simplex import DomainError, NumericalError, np
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -23,9 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .simplex import SUM_TOL, DomainError, NumericalError, _clamp, _finite, _norm, _pow, _power_sum, _xlogx, step_count
+from .simplex import SUM_TOL, DomainError, _clamp, _finite, _norm, _pow, _power_sum, _xlogx, is_array, np, step_count
 
 _HALVINGS = 64  # leaves a root within 2^-65 of its bracket's width
 _H_SLACK = 1e-9  # entropies this far outside [0, ln n] are clipped, not rejected
@@ -42,16 +40,16 @@ def _expm1(x: float) -> float:
 
 def _xp(x):
     """numpy for an array, math for a float: both name log, exp and floor alike."""
-    return np if isinstance(x, np.ndarray) else math
+    return np if is_array(x) else math
 
 
 def _where(cond, a, b):
     """np.where for an array condition, a plain choice for a single one."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+    return np.where(cond, a, b) if is_array(cond) else (a if cond else b)
 
 
 def _clip(x, lo: float, hi: float):
-    return np.clip(x, lo, hi) if isinstance(x, np.ndarray) else min(max(x, lo), hi)
+    return np.clip(x, lo, hi) if is_array(x) else min(max(x, lo), hi)
 
 
 def clamp_entropy(n: int, h, name: str = "h"):
@@ -70,7 +68,7 @@ def bisect(f, lo, hi):
     for _ in range(_HALVINGS):
         mid = 0.5 * (lo + hi)
         below = f(mid) < 0.0
-        if isinstance(below, np.ndarray):
+        if is_array(below):
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         elif below:
             lo = mid
@@ -314,9 +312,9 @@ def solve_tangent_generic(n: int, alpha: float) -> float:
         lo *= 1e-4
         f_lo = _residual(n, lo, alpha, u)
     if f_lo * f_hi > 0.0:
-        raise NumericalError(
-            f"tangent bracket failed for n={n}, alpha={alpha}: "
-            f"F({lo})={f_lo}, F({hi})={f_hi}"
+        raise DomainError(
+            f"unsupported order alpha={alpha!r} for n={n}: no sign change of the tangency residual brackets "
+            f"the tangent point in double precision, F({lo})={f_lo}, F({hi})={f_hi}"
         )
     sign = 1.0 if f_hi > 0.0 else -1.0  # bisect wants the function negative below the root
     return bisect(lambda p: sign * _residual(n, p, alpha, u), lo, hi)

@@ -17,10 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import bounds, curves
-from .simplex import DomainError, alpha_norm, probabilities, shannon_entropy
+from .simplex import DomainError, alpha_norm, np, probabilities, shannon_entropy
 
 
 @dataclass(frozen=True, eq=False)  # == on array fields has no single truth value

@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import bounds, curves
 from .measures import JointDist
 from .simplex import DomainError, NumericalError, alpha_norm, make_peaked, make_stepped, make_uniform, shannon_entropy
+from .simplex import np
 
 # _CHUNK and _BUDGET fix the seeding unit: a chunk's joints come from one
 # sub-seed, so changing either changes the reports. _BLOCK changes no result,

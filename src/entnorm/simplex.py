@@ -12,9 +12,8 @@ used by the envelope machinery in :mod:`entnorm.bounds`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 SUM_TOL = 1e-12
 _LOG_TINY = 700.0  # e^-700 ~ 1e-304: a power sum at least this large is a normal double
@@ -26,6 +25,34 @@ class DomainError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical search failed (bracket without sign change, etc.)."""
+
+
+class _LazyNumpy:
+    """numpy, imported on the first attribute read; each read is then cached on the handle.
+
+    Scalar paths read none. Test for arrays with is_array: isinstance(x, np.ndarray) would import numpy.
+    """
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _LazyNumpy()  # the one numpy handle of the package
+
+
+_SCALARS = frozenset((float, int, bool))  # the scalar paths' floats, counts and conditions: one lookup
+
+
+def is_array(x) -> bool:
+    """Whether x is a numpy array, without importing numpy: no Python scalar is, nor anything before numpy loads."""
+    if type(x) in _SCALARS:
+        return False
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(x, numpy.ndarray)
 
 
 def probabilities(x, ndim: int, name: str) -> np.ndarray:
@@ -68,7 +95,7 @@ def _ragged_row(x) -> str | None:
 
 def _xlogx(x):
     """x ln x, with 0 at x = 0, for a float or an array."""
-    if isinstance(x, np.ndarray):
+    if is_array(x):
         return x * np.log(np.where(x > 0.0, x, 1.0))
     return x * math.log(x) if x > 0.0 else 0.0
 
@@ -92,7 +119,7 @@ class ProbVector:
 
 def _clamp(x, lo: float, hi: float, slack: float, name: str, span: str):
     """x clipped into [lo, hi]; DomainError if any of it (or NaN) lies more than slack outside."""
-    if isinstance(x, np.ndarray):
+    if is_array(x):
         if not ((lo - slack <= x) & (x <= hi + slack)).all():
             raise DomainError(f"{name}={x!r} outside {span}")
         return np.clip(x, lo, hi)
@@ -125,7 +152,7 @@ def step_count(p):
     simplex tolerance.
     """
     x = 1.0 / p + 1e-9
-    k = np.floor(x) if isinstance(x, np.ndarray) else math.floor(x)
+    k = np.floor(x) if is_array(x) else math.floor(x)
     return k - (1.0 - k * p < -SUM_TOL)
 
 
@@ -164,7 +191,7 @@ def _power_sum(n: int, alpha: float, values, weights=None):
         (v0, v1), (w0, w1) = values, weights
         c = 1.0
         if shift:
-            c = np.maximum(v0, v1) if isinstance(v0, np.ndarray) else max(v0, v1)
+            c = np.maximum(v0, v1) if is_array(v0) else max(v0, v1)
         return c, w0 * (v0 / c) ** alpha + w1 * (v1 / c) ** alpha
     if not shift:
         return 1.0, np.power(values, alpha).sum(axis=-1)

@@ -326,12 +326,16 @@ class TestChannel:
         code, out, err = run(capsys, *argv, *(["--input", str(path)] if argv[0] == "channel" else []))
         assert code == 1 and out == "" and err.count("\n") == 1 and "rho=inf" in err
 
-    def test_identity_channel_huge_rho_one_line(self, capsys, tmp_path):
-        # order 1e-6: the uniform norms of the E0 bounds are far beyond any double
+    def test_identity_channel_huge_rho_answers(self, capsys, tmp_path):
+        # order 1e-6 at h = 0: the lower envelope is the norm 1 of u_1, and u_2's norm (beyond
+        # any double) has weight 0
         path = tmp_path / "id.json"
         path.write_text(json.dumps({"transitions": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
         code, out, err = run(capsys, "channel", "--rho", "1e6", "--input", str(path))
-        assert code == 1 and out == "" and err.count("\n") == 1 and "unsupported order alpha" in err
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["e0_lower"] is None and payload["e0_upper"] == pytest.approx(1e6 * LN(3), rel=1e-15)
+        assert payload["e0"] == pytest.approx(payload["e0_upper"], rel=1e-15)
 
     def test_bsc_containment(self, capsys, tmp_path):
         code, out, _ = run(capsys, "channel", "--rho", "1", "--input", str(self.write_bsc(tmp_path)))
@@ -369,6 +373,21 @@ class TestExtremeOrders:
     def test_large_orders_answer(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == "" and all(math.isfinite(v) for v in json.loads(out).values() if v is not None)
+
+    def test_small_order_at_zero_entropy_answers(self, capsys):
+        code, out, err = run(capsys, "eval", "--n", "3", "--alpha", "1e-6", "--h", "0")
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"n": 3, "alpha": 1e-6, "h": 0.0, "lower": 1.0, "upper": None}
+
+    @pytest.mark.parametrize("argv", [["tangent", "--n", "3", "--alpha", "1e10"],
+                                      ["eval", "--n", "1000000", "--alpha", "1e6", "--h", "1"],
+                                      ["eval", "--n", "10000", "--alpha", "0.999999999999", "--h", "1"]])
+    def test_tangent_bracket_failure_names_the_order(self, capsys, argv):
+        # the tangency residual has one sign at both ends of its bracket in doubles
+        code, out, err = run(capsys, *argv)
+        n, alpha = int(argv[2]), float(argv[4])
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert f"unsupported order alpha={alpha!r} for n={n}: " in err
 
     def test_measures_large_order(self, capsys, tmp_path):
         path = tmp_path / "joint.json"
