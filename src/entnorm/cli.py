@@ -47,12 +47,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _scale(x: float | None, bits: bool) -> float | None:
-    if x is None or not bits:
-        return x
-    return x / _LN2
-
-
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -68,7 +62,20 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": ")) + "\n"
 
 
-def _load_json_object(path: str, allowed: set[str], required: set[str]) -> dict:
+# Every entropy, mutual information and E0 a JSON report holds, by key: --bits divides these by ln 2.
+_ENTROPIC = frozenset(("h", "h_lower", "h_upper", "i", "mutual_lower", "mutual_upper", "e0_lower", "e0_upper",
+                       "h_star", "h_inflection", "renyi", "mutual", "mutual_alpha", "e0", "identity_residual"))
+
+
+def _report(args, payload: dict, path: str | None = None) -> None:
+    """Write payload as a JSON report, its entropic entries in bits under --bits."""
+    if args.bits:
+        payload = {k: v / _LN2 if k in _ENTROPIC and v is not None else v for k, v in payload.items()}
+    _emit(_dump_json(payload), path)
+
+
+def _load(path: str, make, fields: set[str]):
+    """make(**data) for the JSON object data in path, which must hold exactly fields."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -78,47 +85,26 @@ def _load_json_object(path: str, allowed: set[str], required: set[str]) -> dict:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: top level must be a JSON object")
-    unknown = set(data) - allowed
+    unknown = set(data) - fields
     if unknown:
-        raise InputError(f"{path}: unknown field(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
-    missing = required - set(data)
+        raise InputError(f"{path}: unknown field(s) {sorted(unknown)}; allowed: {sorted(fields)}")
+    missing = fields - set(data)
     if missing:
         raise InputError(f"{path}: missing required field(s) {sorted(missing)}")
-    return data
-
-
-def _check_numbers(path: str, field: str, raw, index: int | None = None) -> None:
-    if not isinstance(raw, list) or not all(isinstance(v, (int, float)) for v in raw):
-        where = f"{path}: field '{field}'" + ("" if index is None else f", row {index}")
-        raise InputError(f"{where}: expected a list of numbers")
-
-
-def _check_rows(path: str, field: str, raw) -> None:
-    if not isinstance(raw, list):
-        raise InputError(f"{path}: field '{field}' must be a list of rows")
-    for i, row in enumerate(raw):
-        _check_numbers(path, field, row, i)
+    try:
+        return make(**data)
+    except DomainError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def load_joint(path: str) -> measures.JointDist:
     """Read a joint-distribution file: {"py": [...], "rows": [[...], ...]}."""
-    data = _load_json_object(path, allowed={"py", "rows"}, required={"py", "rows"})
-    _check_numbers(path, "py", data["py"])
-    _check_rows(path, "rows", data["rows"])
-    try:
-        return measures.JointDist(py=data["py"], rows=data["rows"])
-    except DomainError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return _load(path, measures.JointDist, {"py", "rows"})
 
 
 def load_channel(path: str) -> measures.Channel:
     """Read a channel file: {"transitions": [[...], ...]}."""
-    data = _load_json_object(path, allowed={"transitions"}, required={"transitions"})
-    _check_rows(path, "transitions", data["transitions"])
-    try:
-        return measures.Channel(transitions=data["transitions"])
-    except DomainError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return _load(path, measures.Channel, {"transitions"})
 
 
 def cmd_curve(args) -> int:
@@ -128,7 +114,7 @@ def cmd_curve(args) -> int:
     curves._check_n(n)
     h = math.log(n) * np.arange(args.grid) / (args.grid - 1)
     cols = {
-        "h": _scale(h, args.bits),
+        "h": h / _LN2 if args.bits else h,  # the one array entry, so scaled here and not by _report
         "norm_peaked": curves.norm_peaked(n, curves.inv_entropy_peaked(n, h), alpha),
         "norm_stepped": curves.norm_stepped(n, curves.inv_entropy_stepped(n, h), alpha),
         "lower": bounds.envelope_lower(n, alpha, h),
@@ -146,79 +132,47 @@ def cmd_curve(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    n = args.n
-    if args.i is not None:
-        if args.rho is not None:
-            lo, hi = measures.e0_range_for_mutual(n, args.rho, args.i)
-            payload = {
-                "n": n,
-                "rho": args.rho,
-                "i": _scale(args.i, args.bits),
-                "e0_lower": _scale(lo, args.bits),
-                "e0_upper": _scale(hi, args.bits),
-            }
-        elif args.alpha is not None:
-            lo, hi = measures.mutual_range_for_mutual(n, args.alpha, args.i)
-            payload = {
-                "n": n,
-                "alpha": args.alpha,
-                "i": _scale(args.i, args.bits),
-                "mutual_lower": _scale(lo, args.bits),
-                "mutual_upper": _scale(hi, args.bits),
-            }
-        else:
-            raise UsageError("--i needs --alpha (mutual range) or --rho (E0 range)")
-        _emit(_dump_json(payload), None)
-        return EXIT_OK
-    if args.alpha is None:
-        raise UsageError("--h and --N need --alpha")
-    alpha = args.alpha
-    if args.h is not None:
+    n, alpha, rho = args.n, args.alpha, args.rho
+    if args.i is None and alpha is None:
+        raise UsageError("--h and --N need --alpha")  # --rho, exclusive with --alpha, serves --i only
+    if args.i is not None and alpha is None and rho is None:
+        raise UsageError("--i needs --alpha (mutual range) or --rho (E0 range)")
+    if rho is not None:
+        lo, hi = measures.e0_range_for_mutual(n, rho, args.i)
+        payload = {"n": n, "rho": rho, "i": args.i, "e0_lower": lo, "e0_upper": hi}
+    elif args.i is not None:
+        lo, hi = measures.mutual_range_for_mutual(n, alpha, args.i)
+        payload = {"n": n, "alpha": alpha, "i": args.i, "mutual_lower": lo, "mutual_upper": hi}
+    elif args.h is not None:
         env = bounds.envelope(n, alpha, args.h)
-        payload = {
-            "n": n,
-            "alpha": alpha,
-            "h": _scale(args.h, args.bits),
-            "lower": env.lower,
-            "upper": env.upper,
-        }
+        payload = {"n": n, "alpha": alpha, "h": args.h, "lower": env.lower, "upper": env.upper}
     else:
         h_lo, h_hi = bounds.cond_entropy_range_for_norm(n, alpha, args.norm)
-        payload = {
-            "n": n,
-            "alpha": alpha,
-            "norm": args.norm,
-            "h_lower": _scale(h_lo, args.bits),
-            "h_upper": _scale(h_hi, args.bits),
-        }
-    _emit(_dump_json(payload), None)
+        payload = {"n": n, "alpha": alpha, "norm": args.norm, "h_lower": h_lo, "h_upper": h_hi}
+    _report(args, payload)
     return EXIT_OK
 
 
 def cmd_tangent(args) -> int:
     n, alpha = args.n, args.alpha
     ts = curves.tangent_point(n, alpha)
-    if n >= 3:
-        ip = curves.inflection_point(n, alpha)
-        h_inf, p_inf = ip.h, ip.p
-    else:
-        h_inf = p_inf = None  # binary curve is concave throughout
+    ip = curves.inflection_point(n, alpha) if n >= 3 else None  # binary curve is concave throughout
     payload = {
         "n": n,
         "alpha": alpha,
         "p_star": ts.p,
-        "h_star": _scale(ts.h, args.bits),
+        "h_star": ts.h,
         "norm_star": ts.norm,
-        "h_inflection": _scale(h_inf, args.bits),
-        "p_inflection": p_inf,
+        "h_inflection": None if ip is None else ip.h,
+        "p_inflection": None if ip is None else ip.p,
     }
-    _emit(_dump_json(payload), None)
+    _report(args, payload)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     report = oracle.verify_envelope(args.n, args.alpha, args.samples, args.seed, y_size=args.y_size)
-    _emit(_dump_json(dataclasses.asdict(report)), args.output)
+    _report(args, dataclasses.asdict(report), args.output)
     if report.violations_lower or report.violations_upper:
         return EXIT_VIOLATION
     return EXIT_OK
@@ -233,20 +187,22 @@ def cmd_measures(args) -> int:
     payload = {
         "n": n,
         "alpha": alpha,
-        "h": _scale(h, args.bits),
+        "h": h,
         "expected_norm": norm,
-        "renyi": _scale(measures.cond_renyi(joint, alpha), args.bits),
+        "renyi": measures.cond_renyi(joint, alpha),
         "rnorm": measures.cond_rnorm(joint, alpha),
         "lower": env.lower,
         "upper": env.upper,
         "on_lower_boundary": bool(abs(norm - env.lower) <= 1e-9),
         "on_upper_boundary": None if env.upper is None else bool(abs(norm - env.upper) <= 1e-9),
     }
-    _emit(_dump_json(payload), None)
+    _report(args, payload)
     return EXIT_OK
 
 
 def cmd_channel(args) -> int:
+    if args.alpha is None and args.rho is None:
+        raise UsageError("channel needs --alpha or --rho")
     channel = load_channel(args.input)
     if args.rho is None and not args.alpha > 0.0:
         raise UsageError(f"--alpha must be positive, got {args.alpha}")
@@ -259,20 +215,19 @@ def cmd_channel(args) -> int:
     mutual = min(max(math.log(n) - measures.cond_shannon(joint), 0.0), math.log(n))
     mutual_alpha = math.log(n) - measures.cond_renyi(joint, alpha)
     e0 = measures.gallager_e0_uniform(channel, rho)
-    residual = abs(e0 - rho * mutual_alpha)
     e0_lo, e0_hi = measures.e0_range_for_mutual(n, rho, mutual)
     payload = {
         "n_in": n,
         "alpha": alpha,
         "rho": rho,
-        "mutual": _scale(mutual, args.bits),
-        "mutual_alpha": _scale(mutual_alpha, args.bits),
-        "e0": _scale(e0, args.bits),
-        "identity_residual": _scale(residual, args.bits),
-        "e0_lower": _scale(e0_lo, args.bits),
-        "e0_upper": _scale(e0_hi, args.bits),
+        "mutual": mutual,
+        "mutual_alpha": mutual_alpha,
+        "e0": e0,
+        "identity_residual": abs(e0 - rho * mutual_alpha),
+        "e0_lower": e0_lo,
+        "e0_upper": e0_hi,
     }
-    _emit(_dump_json(payload), None)
+    _report(args, payload)
     return EXIT_OK
 
 
@@ -281,66 +236,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ent-norm", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, alpha=True):
-        p.add_argument("--n", type=int, required=True, help="alphabet size of X")
-        if alpha:
+    def command(name, func, help, *, n=True, rho=False):
+        """A subcommand with --n unless n is false, --alpha (or, with rho, either --alpha or --rho) and --bits."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if n:
+            p.add_argument("--n", type=int, required=True, help="alphabet size of X")
+        if rho:
+            order = p.add_mutually_exclusive_group()
+            order.add_argument("--alpha", type=float, default=None, help="norm order")
+            order.add_argument("--rho", type=float, default=None, help="E0 parameter, for order 1/(1 + rho)")
+        else:
             p.add_argument("--alpha", type=float, required=True, help="norm order")
         p.add_argument("--bits", action="store_true", help="print entropic values in bits")
+        return p
 
-    p = sub.add_parser("curve", help="export curves and envelopes on an h-grid")
-    common(p)
+    p = command("curve", cmd_curve, "export curves and envelopes on an h-grid")
     p.add_argument("--grid", type=int, default=512, help="number of h points (default 512)")
     p.add_argument("--output", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser(
-        "eval", help="envelope at --h, entropy range at --N, or mutual/E0 range at --i"
-    )
-    p.add_argument("--n", type=int, required=True, help="alphabet size of X")
-    p.add_argument("--alpha", type=float, default=None, help="norm order")
-    p.add_argument("--rho", type=float, default=None, help="E0 parameter (with --i)")
-    p.add_argument("--bits", action="store_true", help="print entropic values in bits")
+    p = command("eval", cmd_eval, "envelope at --h, entropy range at --N, or mutual/E0 range at --i", rho=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--h", type=float, default=None, help="conditional entropy (nats)")
     group.add_argument("--N", dest="norm", type=float, default=None, help="expected norm")
     group.add_argument("--i", type=float, default=None, help="mutual information (nats)")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("tangent", help="tangency and inflection data")
-    common(p)
-    p.set_defaults(func=cmd_tangent)
+    command("tangent", cmd_tangent, "tangency and inflection data")
 
-    p = sub.add_parser("verify", help="Monte Carlo envelope verification")
-    common(p)
+    p = command("verify", cmd_verify, "Monte Carlo envelope verification")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--y-size", type=int, default=4, help="outcomes of Y per sampled joint")
     p.add_argument("--output", default=None, help="report path (default stdout)")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("measures", help="conditional measures of a joint file")
-    p.add_argument("--alpha", type=float, required=True)
+    p = command("measures", cmd_measures, "conditional measures of a joint file", n=False)
     p.add_argument("--input", required=True, help='JSON file {"py": [...], "rows": [[...], ...]}')
-    p.add_argument("--bits", action="store_true")
-    p.set_defaults(func=cmd_measures)
 
-    p = sub.add_parser("channel", help="mutual information and E0 of a channel file")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
+    p = command("channel", cmd_channel, "mutual information and E0 of a channel file", n=False, rho=True)
     p.add_argument("--input", required=True, help='JSON file {"transitions": [[...], ...]}')
-    p.add_argument("--bits", action="store_true")
-    p.set_defaults(func=cmd_channel)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.func is cmd_channel and args.rho is None and args.alpha is None:
-            raise UsageError("channel needs --alpha or --rho")
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (UsageError, DomainError, NumericalError) as exc:
         print(f"ent-norm: error: {exc}", file=sys.stderr)

@@ -58,8 +58,8 @@ def clamp_entropy(n: int, h, name: str = "h"):
     return _clamp(h, 0.0, math.log(n), _H_SLACK, name, f"[0, ln {n}]")
 
 
-def bisect(f, lo, hi):
-    """Where the monotone f crosses from negative to non-negative in [lo, hi].
+def bisect(f, lo, hi, rising: bool = True):
+    """Where the monotone f crosses from negative to non-negative in [lo, hi]; if not rising, positive to non-positive.
 
     f may map an array to an array, which bisects each element in its own
     bracket. The bracket is halved a fixed number of times, so a float and
@@ -67,7 +67,7 @@ def bisect(f, lo, hi):
     """
     for _ in range(_HALVINGS):
         mid = 0.5 * (lo + hi)
-        below = f(mid) < 0.0
+        below = f(mid) < 0.0 if rising else f(mid) > 0.0
         if is_array(below):
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         elif below:
@@ -75,6 +75,28 @@ def bisect(f, lo, hi):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# Probes by repeated multiplication, whose bits set the root: 1e-14 * 1e-4 * 1e-4 is 1.0000000000000002e-22
+_INFLECTION_GAPS = tuple(math.prod((1e-9,) + (1e-2,) * k) for k in range(4))  # 1e-9 ... 1e-15 below 1/n, relative
+_TANGENT_PROBES = tuple(math.prod((1e-14,) + (1e-4,) * k) for k in range(6))  # 1e-14 ... 1e-34
+
+
+def _bracketed_root(f, fixed: float, probes, n: int, alpha: float, what: str) -> float:
+    """The root of f, bisected from fixed to the first probe where f has the other sign.
+
+    DomainError naming the order when no probe has: doubles cannot bracket the root.
+    """
+    f_fixed = f(fixed)
+    for probe in probes:
+        f_probe = f(probe)
+        if (f_probe < 0.0) != (f_fixed < 0.0):  # the signs themselves: a product of the two can underflow
+            lo, hi, f_lo = (probe, fixed, f_probe) if probe < fixed else (fixed, probe, f_fixed)
+            return bisect(f, lo, hi, rising=f_lo < 0.0)
+    raise DomainError(
+        f"unsupported order alpha={alpha!r} for n={n}: no sign change of {what} brackets the root in double "
+        f"precision, f({fixed!r})={f_fixed!r}, f({probe!r})={f_probe!r}"
+    )
 
 
 def _check_n(n: int, least: int = 2) -> None:
@@ -260,25 +282,11 @@ def inflection_point(n: int, alpha: float) -> InflectionPoint:
 
 @lru_cache(maxsize=None)
 def _inflection_cached(n: int, alpha: float) -> InflectionPoint:
-    lo = 1.0 / (n * (n - 1))
-    f_lo = curvature_sign(n, lo, alpha)
-    hi = f_hi = None
     # The curvature vanishes smoothly at p = 1/n itself, so probe just inside;
-    # for very large alpha the zero crowds the endpoint and the probe moves in.
-    delta = 1e-9
-    while delta > 1e-16:
-        cand = (1.0 / n) * (1.0 - delta)
-        val = curvature_sign(n, cand, alpha)
-        if val > 0.0:
-            hi, f_hi = cand, val
-            break
-        delta *= 1e-2
-    if hi is None or f_lo >= 0.0:
-        raise DomainError(
-            f"unsupported order alpha={alpha!r} for n={n}: no sign change of the curvature brackets "
-            f"the inflection in double precision, g({lo})={f_lo}, g(~1/n)={f_hi}"
-        )
-    p = bisect(lambda p: curvature_sign(n, p, alpha), lo, hi)
+    # for very large alpha the zero crowds the endpoint and the probes move in.
+    probes = ((1.0 / n) * (1.0 - delta) for delta in _INFLECTION_GAPS)
+    lo = 1.0 / (n * (n - 1))
+    p = _bracketed_root(lambda p: curvature_sign(n, p, alpha), lo, probes, n, alpha, "the curvature")
     return InflectionPoint(n=n, alpha=alpha, h=entropy_peaked(n, p), p=p)
 
 
@@ -305,19 +313,7 @@ def solve_tangent_generic(n: int, alpha: float) -> float:
     """
     hi = inflection_point(n, alpha).p  # checks n >= 3 and the order
     u = norm_uniform(n, alpha)
-    f_hi = _residual(n, hi, alpha, u)
-    lo = 1e-14
-    f_lo = _residual(n, lo, alpha, u)
-    while f_lo * f_hi > 0.0 and lo > 1e-30:
-        lo *= 1e-4
-        f_lo = _residual(n, lo, alpha, u)
-    if f_lo * f_hi > 0.0:
-        raise DomainError(
-            f"unsupported order alpha={alpha!r} for n={n}: no sign change of the tangency residual brackets "
-            f"the tangent point in double precision, F({lo})={f_lo}, F({hi})={f_hi}"
-        )
-    sign = 1.0 if f_hi > 0.0 else -1.0  # bisect wants the function negative below the root
-    return bisect(lambda p: sign * _residual(n, p, alpha, u), lo, hi)
+    return _bracketed_root(lambda p: _residual(n, p, alpha, u), hi, _TANGENT_PROBES, n, alpha, "the tangency residual")
 
 
 @lru_cache(maxsize=None)

@@ -58,14 +58,18 @@ def is_array(x) -> bool:
 def probabilities(x, ndim: int, name: str) -> np.ndarray:
     """x as a read-only float array of ndim axes whose rows (last axis) are probability vectors.
 
-    The one probability check: every entry finite and in [0, 1], every row
-    summing to 1, both within SUM_TOL. Entries within SUM_TOL below 0
-    become 0. DomainError names the first bad row.
+    The one probability check: every entry a number (no string, None or
+    integer beyond a double), finite and in [0, 1], every row summing to 1,
+    both within SUM_TOL. Entries within SUM_TOL below 0 become 0.
+    DomainError names the field and the first bad row.
     """
     try:
-        p = np.array(x, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"field '{name}'{_ragged_row(x) or f': {exc}'}") from None
+        p = np.array(x)
+        if p.dtype.kind not in "biuf":  # bool, int, float; numpy keeps ints beyond int64 as objects
+            raise TypeError("entries must be numbers that fit a double")
+    except (TypeError, ValueError) as exc:  # ValueError: rows of unequal shape
+        raise DomainError(f"field '{name}'{_bad_row(x) if ndim > 1 else ''}: {exc}") from None
+    p = p.astype(float, copy=False)
     if p.ndim != ndim or p.size == 0:
         raise DomainError(f"field '{name}': need a non-empty {ndim}-D array, got shape {p.shape}")
     # NaN fails both comparisons: it propagates through abs, max and sum
@@ -83,14 +87,14 @@ def probabilities(x, ndim: int, name: str) -> np.ndarray:
     return p
 
 
-def _ragged_row(x) -> str | None:
-    """", row i: ..." for the first row of x shaped unlike row 0, if x is a sequence of rows."""
+def _bad_row(x) -> str:
+    """", row i" for the first row of x shaped unlike row 0 or holding a non-number; "" if there is none."""
     try:
-        shapes = [np.shape(r) for r in x]
-        i = next(i for i, s in enumerate(shapes) if s != shapes[0])
+        rows = [np.array(r) for r in x]
+        i = next(i for i, r in enumerate(rows) if r.shape != rows[0].shape or r.dtype.kind not in "biuf")
     except (TypeError, ValueError, StopIteration):
-        return None
-    return f", row {i}: shape {shapes[i]} unlike row 0's {shapes[0]}"
+        return ""
+    return f", row {i}"
 
 
 def _xlogx(x):

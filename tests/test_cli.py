@@ -265,12 +265,13 @@ class TestMeasures:
         ({"py": [0.5, "0.5"], "rows": [[1.0], [1.0]]}, "field 'py'"),
         ({"py": [0.5, 0.5], "rows": [[1.0, 0.0], [0.5, "0.5"]]}, "field 'rows', row 1"),
         ({"py": [0.5, 0.5], "rows": [[1.0, 0.0], [0.5, 0.25, 0.25]]}, "field 'rows', row 1"),
+        ({"py": [0.5, 0.5], "rows": [[1.0, 0.0], [10**400, 0]]}, "field 'rows', row 1"),  # beyond any double
     ])
     def test_string_or_ragged_entries_name_field_and_row(self, capsys, tmp_path, data, where):
         path = tmp_path / "joint.json"
         path.write_text(json.dumps(data))
         code, out, err = run(capsys, "measures", "--alpha", "2", "--input", str(path))
-        assert code == 2 and out == "" and where in err
+        assert code == 2 and out == "" and where in err and err.count("\n") == 1
 
     def test_invalid_json_line_diagnostics(self, capsys, tmp_path):
         path = tmp_path / "joint.json"
@@ -352,12 +353,12 @@ class TestChannel:
         code, _, err = run(capsys, "channel", "--input", str(self.write_bsc(tmp_path)))
         assert code == 1 and "--alpha or --rho" in err
 
-    @pytest.mark.parametrize("rows", [[[1.0, 0.0], [0.5, "0.5"]], [[1.0, 0.0], [1.0]]])
+    @pytest.mark.parametrize("rows", [[[1.0, 0.0], [0.5, "0.5"]], [[1.0, 0.0], [1.0]], [[1.0, 0.0], [0, 10**400]]])
     def test_string_or_ragged_entries_name_field_and_row(self, capsys, tmp_path, rows):
         path = tmp_path / "ch.json"
         path.write_text(json.dumps({"transitions": rows}))
         code, out, err = run(capsys, "channel", "--rho", "1", "--input", str(path))
-        assert code == 2 and out == "" and "field 'transitions', row 1" in err
+        assert code == 2 and out == "" and "field 'transitions', row 1" in err and err.count("\n") == 1
 
     def test_unknown_field_rejected(self, capsys, tmp_path):
         path = tmp_path / "ch.json"
@@ -433,6 +434,45 @@ class TestUsage:
     def test_alpha_one_rejected(self, capsys):
         code, _, err = run(capsys, "curve", "--n", "4", "--alpha", "1")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [["eval", "--n", "12", "--h", "0", "--alpha", "0.5", "--rho", "0.78"],
+                                      ["eval", "--n", "5", "--alpha", "2", "--rho", "1", "--i", "1.2"],
+                                      ["channel", "--alpha", "1e300", "--rho", "5997.7"],
+                                      ["channel", "--alpha", "2", "--rho", "1"]])
+    def test_alpha_and_rho_exclude_each_other(self, capsys, tmp_path, argv):
+        # each used to answer with one of the two and drop the other
+        path = tmp_path / "bsc.json"
+        path.write_text(json.dumps({"transitions": [[0.9, 0.1], [0.1, 0.9]]}))
+        code, out, err = run(capsys, *argv, *(["--input", str(path)] if argv[0] == "channel" else []))
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "--rho" in err and "--alpha" in err
+
+
+@pytest.mark.parametrize("argv, entropic", [
+    (["eval", "--n", "8", "--alpha", "2", "--h", "1.2"], {"h"}),
+    (["eval", "--n", "8", "--alpha", "0.5", "--N", "4.0"], {"h_lower", "h_upper"}),
+    (["eval", "--n", "9", "--alpha", "0.5", "--i", "1.0"], {"i", "mutual_lower", "mutual_upper"}),
+    (["eval", "--n", "5", "--rho", "1", "--i", "1.2"], {"i", "e0_lower", "e0_upper"}),
+    (["tangent", "--n", "8", "--alpha", "2"], {"h_star", "h_inflection"}),
+    (["channel", "--rho", "0.5", "--input", "channel.json"],
+     {"mutual", "mutual_alpha", "e0", "identity_residual", "e0_lower", "e0_upper"}),
+    (["measures", "--alpha", "2", "--input", "joint.json"], {"h", "renyi"}),
+    (["curve", "--n", "4", "--alpha", "2", "--grid", "5", "--format", "json"], {"h"}),
+])
+def test_bits_divides_exactly_the_entropic_entries(capsys, tmp_path, argv, entropic):
+    docs = {"channel.json": {"transitions": [[0.9, 0.1], [0.1, 0.9]]},
+            "joint.json": {"py": [0.5, 0.5], "rows": [[0.25] * 4, [0.7, 0.1, 0.1, 0.1]]}}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / a) if a in docs else a for a in argv]
+    _, out_nats, _ = run(capsys, *argv)
+    _, out_bits, _ = run(capsys, *argv, "--bits")
+    nats, bits = json.loads(out_nats), json.loads(out_bits)
+    assert bits.keys() == nats.keys() and all(nats[k] is not None for k in entropic)
+    for k, v in nats.items():
+        if k in entropic:
+            v = [x / LN(2) for x in v] if isinstance(v, list) else v / LN(2)
+        assert bits[k] == v, k
 
 
 def test_python_dash_m_runs_the_cli():
@@ -519,6 +559,7 @@ def test_any_argv_exits_with_a_documented_code(fuzz_files):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 1, 2, 3), argv
+        assert not (code == 0 and {a.split("=")[0] for a in argv} >= {"--alpha", "--rho"}), argv
         if code in (1, 2):
             assert err.getvalue().count("\n") == 1 and out.getvalue() == "", (argv, err.getvalue())
 

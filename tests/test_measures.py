@@ -70,6 +70,12 @@ class TestJointTypes:
         with pytest.raises(DomainError):
             Channel((_pv(1.0, 0.0), _pv(0.5, 0.25, 0.25)))
 
+    @pytest.mark.parametrize("py, rows, where", [(["1"], [[1.0]], "field 'py'"),
+                                                 ([1.0], [[10**400, 0]], "field 'rows', row 0")])
+    def test_entries_must_be_numbers_that_fit_a_double(self, py, rows, where):
+        with pytest.raises(DomainError, match=f"{where}: entries must be numbers"):
+            JointDist(py=py, rows=rows)
+
 
 class TestCondShannon:
     def test_point_mass_rows(self):

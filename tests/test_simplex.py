@@ -82,6 +82,8 @@ class TestConstructors:
             ProbVector((1.2, -0.2))
         with pytest.raises(DomainError):
             ProbVector(())
+        with pytest.raises(DomainError, match="numbers"):
+            ProbVector(("0.5", "0.5"))  # numpy would convert the strings
 
 
 class TestEntropy:
