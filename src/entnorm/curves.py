@@ -209,15 +209,20 @@ def dnorm_dh_peaked(n: int, p: float, alpha: float) -> float:
     Only defined strictly inside the curve: the limits at the endpoints are
     0 or +inf depending on alpha and are the caller's business.
     """
+    _check_inside(n, p, alpha)
     return _norm_slope(n, p, alpha)[1]
 
 
-def _norm_slope(n: int, p: float, alpha: float) -> tuple[float, float]:
-    """(norm_peaked, dnorm_dh_peaked) at p from one power sum, its shift c taken out of every power."""
+def _check_inside(n: int, p: float, alpha: float) -> None:
+    """The domain of _norm_slope: n >= 2, a supported finite order and p strictly inside (0, 1/n)."""
     _check_n(n)
     _check_order(alpha)
     if not (0.0 < p < 1.0 / n):
         raise DomainError(f"p={p!r} outside the open interval (0, 1/{n})")
+
+
+def _norm_slope(n: int, p: float, alpha: float) -> tuple[float, float]:
+    """(norm_peaked, dnorm_dh_peaked) at p from one power sum, its shift c taken out of every power; unchecked."""
     q = 1.0 - (n - 1) * p
     norm, c, s = _norm(n, alpha, (q, p), (1.0, n - 1))
     try:
@@ -296,13 +301,16 @@ def tangent_residual(n: int, p: float, alpha: float) -> float:
     Zero exactly when the tangent line of the peaked curve at p passes
     through the uniform endpoint (ln n, n^(1/alpha-1)).
     """
+    _check_inside(n, p, alpha)
     return _residual(n, p, alpha, norm_uniform(n, alpha))
 
 
 def _residual(n: int, p: float, alpha: float, u: float) -> float:
-    """tangent_residual with the uniform endpoint's norm u given, which a solve computes once."""
+    """tangent_residual with the uniform endpoint's norm u given, which a solve computes once.
+
+    Unchecked: every step of a solve stays inside _check_inside's domain."""
     norm, slope = _norm_slope(n, p, alpha)
-    return (math.log(n) - entropy_peaked(n, p)) * slope - (u - norm)
+    return (math.log(n) - _entropy_peaked(n, p)) * slope - (u - norm)
 
 
 def solve_tangent_generic(n: int, alpha: float) -> float:

@@ -255,8 +255,9 @@ class TestUpperEnvelopeSmallEntropy:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="64 halvings of [0, 1/2] resolve p = 2.6e-17 to only ~5e-4 of itself, "
-        "an error of ~2.8e-7 in the norm; see ROADMAP item 4",
+        reason="mostly the lost -q ln q term: _entropy_peaked rounds q = 1 - (n-1)p to 1 at p = 2.6e-17, "
+        "dropping about (n-1)p, 2.6% of h; 64 halvings of [0, 1/2] also resolve p to only ~5e-4 of itself. "
+        "The norm ends ~2.8e-7 off; see ROADMAP item 2",
     )
     def test_matches_mpmath_at_1e_15(self):
         want = float(_mp_envelope_upper_on_curve(2, 0.3, 1e-15))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entnorm import oracle
+from entnorm import bounds, curves, oracle
 from entnorm.bounds import (
     cond_entropy_range_for_norm,
     envelope_lower,
@@ -161,6 +161,105 @@ class TestTally:
 
         with pytest.raises(NumericalError, match="non-finite"):
             oracle._tally(10, 0, 4, excesses)
+
+
+_EXACT_UPPER = bounds._envelope_upper_vec
+
+
+def _exact_report(n, alpha, samples, seed, y_size, kernel=_EXACT_UPPER):
+    """verify_envelope without the chord screen: the exact upper kernel on every sample."""
+
+    def excesses(count, chunk_index):
+        h, norm = oracle._chunk_measures(n, y_size, alpha, count, seed, chunk_index)
+        return bounds._envelope_lower_vec(n, alpha, h) - norm, norm - kernel(n, alpha, h)
+
+    return oracle._tally(samples, seed, y_size * n, excesses)
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Sizes of the entropy arrays verify hands the exact upper kernel, the screen's nodes first."""
+    sizes = []
+
+    def counted(n, alpha, h):
+        sizes.append(np.size(h))
+        return _EXACT_UPPER(n, alpha, h)
+
+    monkeypatch.setattr(bounds, "_envelope_upper_vec", counted)
+    return sizes
+
+
+class TestUpperScreen:
+    """verify_envelope's chord screen leaves every report as the exact kernel on every sample makes it."""
+
+    @pytest.mark.parametrize(
+        "n, alpha",
+        [(2, 0.3)] + [(n, a) for n in (2, 3, 8, 256) for a in (0.5, 0.55, 1.5, 2.0, 4.0)],
+    )
+    @pytest.mark.parametrize("y_size", [1, 2, 4, 8])
+    def test_matches_exact_reference(self, n, alpha, y_size, exact_calls):
+        samples = 600 if n == 256 else 3000
+        got = verify_envelope(n, alpha, samples, seed=5, y_size=y_size)
+        assert got == _exact_report(n, alpha, samples, 5, y_size)
+        assert exact_calls[0] == oracle._NODES
+        if n == 2 and y_size == 1:  # every binary distribution lies on the curve, so none is settled
+            assert sum(exact_calls[1:]) == samples
+
+    @pytest.mark.parametrize("n, alpha, y_size", [(2, 0.3, 2), (8, 2.0, 4)])
+    def test_matches_exact_reference_over_chunks(self, n, alpha, y_size, exact_calls):
+        samples = oracle._CHUNK + 5000
+        got = verify_envelope(n, alpha, samples, seed=9, y_size=y_size)
+        assert got == _exact_report(n, alpha, samples, 9, y_size)
+        assert len(exact_calls) <= 3  # the nodes, then at most one call per chunk
+        if (n, alpha) == (8, 2.0):
+            assert sum(exact_calls[1:]) < samples // 100
+
+    @staticmethod
+    def _plant(monkeypatch, h, norm):
+        def planted(n, y_size, alpha, count, seed, chunk_index):
+            assert count == h.size
+            return h.copy(), norm.copy()
+
+        monkeypatch.setattr(oracle, "_chunk_measures", planted)
+
+    @pytest.mark.parametrize("n, alpha", [(2, 0.3), (3, 0.5), (8, 2.0), (8, 0.7), (256, 4.0)])
+    def test_planted_samples_land_where_the_exact_kernel_puts_them(self, n, alpha, monkeypatch, exact_calls):
+        ts = curves.tangent_point(n, alpha)
+        top = math.log(n)
+        node = float(np.linspace(0.0, top, oracle._NODES)[17])
+        centres = [0.0, 1e-12, ts.h, node, top - 1e-12, top]
+        h = np.clip([c + d for c in centres for d in (-1e-7, -1e-15, 0.0, 1e-15, 1e-7)], 0.0, top)
+        h = np.repeat(h, 6)
+        norm = _EXACT_UPPER(n, alpha, h) + np.tile([-1e-6, -1e-9, -1e-13, 1e-13, 1e-9, 1e-6], h.size // 6)
+        self._plant(monkeypatch, h, norm)
+        got = verify_envelope(n, alpha, h.size, seed=0, y_size=1)
+        want = _exact_report(n, alpha, h.size, 0, 1)
+        assert got == want
+        assert got.violations_upper >= h.size // 6  # at least every +1e-6 plant
+        assert got.max_excess > 0.0
+        assert 0 < sum(exact_calls[1:]) < h.size  # both the screen and the exact kernel decided some
+
+    def test_nan_norm_reaches_the_exact_kernel(self, monkeypatch):
+        h = np.array([0.3, 0.9])
+        self._plant(monkeypatch, h, np.array([0.5, np.nan]))
+        with pytest.raises(NumericalError, match="non-finite"):
+            verify_envelope(8, 2.0, 2, seed=0, y_size=1)
+
+    def test_non_concave_nodes_send_every_sample_to_the_exact_kernel(self, monkeypatch):
+        n, alpha, samples = 8, 2.0, 3000
+        bump_at = float(np.linspace(0.0, math.log(n), oracle._NODES)[-4])
+        assert bump_at > curves.tangent_point(n, alpha).h  # on the straight segment, where U'' = 0
+        sizes = []
+
+        def bumped(n, alpha, h):  # a narrow rise of 1e-6 at one node: the nodes are no longer concave
+            sizes.append(np.size(h))
+            return _EXACT_UPPER(n, alpha, h) + 1e-6 * np.exp(-(((h - bump_at) / 1e-3) ** 2))
+
+        want = _exact_report(n, alpha, samples, 3, 4, kernel=bumped)
+        sizes.clear()
+        monkeypatch.setattr(bounds, "_envelope_upper_vec", bumped)
+        assert verify_envelope(n, alpha, samples, seed=3, y_size=4) == want
+        assert sizes == [oracle._NODES, samples]
 
 
 class TestChunkMeasures:
