@@ -17,7 +17,7 @@ range raise DomainError rather than extrapolate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import curves
 from .curves import has_upper_envelope, norm_uniform  # part of this module's API
@@ -110,16 +110,16 @@ def envelope_upper_half(n: int, h: float) -> float:
     return n - (n - 2) * (math.log(n) - h) / math.log(n - 1)
 
 
-@dataclass(frozen=True)
-class BoundEnvelope:
-    """Lower and (when available) upper bound on the expected alpha-norm."""
+class BoundEnvelope(namedtuple("BoundEnvelope", "lower upper")):
+    """Lower and (when available, else None) upper bound on the expected alpha-norm."""
 
-    lower: float
-    upper: float | None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
-    def __post_init__(self) -> None:
-        if self.upper is not None and self.lower > self.upper + 1e-12:
-            raise DomainError(f"envelope inverted: lower={self.lower} > upper={self.upper}")
+    def __new__(cls, lower: float, upper: float | None):
+        if upper is not None and lower > upper + 1e-12:
+            raise DomainError(f"envelope inverted: lower={lower} > upper={upper}")
+        return super().__new__(cls, lower, upper)
 
 
 def envelope(n: int, alpha: float, h: float) -> BoundEnvelope:

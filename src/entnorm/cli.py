@@ -17,7 +17,6 @@ input, 3 verification failure. All entropic outputs are in nats unless
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -172,7 +171,7 @@ def cmd_tangent(args) -> int:
 
 def cmd_verify(args) -> int:
     report = oracle.verify_envelope(args.n, args.alpha, args.samples, args.seed, y_size=args.y_size)
-    _report(args, dataclasses.asdict(report), args.output)
+    _report(args, report._asdict(), args.output)
     if report.violations_lower or report.violations_upper:
         return EXIT_VIOLATION
     return EXIT_OK

@@ -20,7 +20,7 @@ and converges unconditionally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .simplex import SUM_TOL, DomainError, _clamp, _finite, _norm, _pow, _power_sum, _xlogx, is_array, np, step_count
@@ -253,25 +253,15 @@ def curvature_sign(n: int, p: float, alpha: float) -> float:
     return (alpha - 1.0) + num / den
 
 
-@dataclass(frozen=True)
-class InflectionPoint:
-    """Where the peaked curve switches concave -> convex (in entropy coordinates)."""
+InflectionPoint = namedtuple("InflectionPoint", "n alpha h p")
+InflectionPoint.__doc__ = """Where the peaked curve switches concave -> convex (in entropy coordinates).
 
-    n: int
-    alpha: float
-    h: float  # entropy coordinate, in (ln n - (1-2/n)ln(n-1), ln n)
-    p: float  # parameter coordinate, in (1/(n(n-1)), 1/n)
+h is the entropy coordinate, in (ln n - (1-2/n)ln(n-1), ln n); p the
+parameter coordinate, in (1/(n(n-1)), 1/n).
+"""
 
-
-@dataclass(frozen=True)
-class TangentPoint:
-    """Touch point of the tangent from the uniform endpoint onto the peaked curve."""
-
-    n: int
-    alpha: float
-    p: float
-    h: float
-    norm: float
+TangentPoint = namedtuple("TangentPoint", "n alpha p h norm")
+TangentPoint.__doc__ = """Touch point of the tangent from the uniform endpoint onto the peaked curve."""
 
 
 def inflection_point(n: int, alpha: float) -> InflectionPoint:

@@ -15,44 +15,45 @@ envelope ends and sorting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import bounds, curves
 from .simplex import DomainError, alpha_norm, np, probabilities, shannon_entropy
 
 
-@dataclass(frozen=True, eq=False)  # == on array fields has no single truth value
-class JointDist:
+class JointDist(namedtuple("JointDist", "py rows")):
     """Marginal over Y plus one n-ary conditional row per outcome of Y.
 
     Both fields take any array-like (tuples of ProbVector included) and
     hold read-only float arrays: py of shape (y,), rows of shape (y, n).
     """
 
-    py: np.ndarray
-    rows: np.ndarray
+    __slots__ = ()
+    # == on array fields has no single truth value: compare by identity
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
-    def __post_init__(self) -> None:
-        py = probabilities(self.py, 1, "py")
-        rows = probabilities(self.rows, 2, "rows")
+    def __new__(cls, py, rows):
+        py = probabilities(py, 1, "py")
+        rows = probabilities(rows, 2, "rows")
         if len(rows) != len(py):
             raise DomainError(f"{len(rows)} rows for {len(py)} outcomes of Y")
-        object.__setattr__(self, "py", py)
-        object.__setattr__(self, "rows", rows)
+        return super().__new__(cls, py, rows)
 
     @property
     def n(self) -> int:
         return self.rows.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class Channel:
+class Channel(namedtuple("Channel", "transitions")):
     """Transition matrix of a DMC, shape (n_in, n_out): one row of output probabilities per input."""
 
-    transitions: np.ndarray
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "transitions", probabilities(self.transitions, 2, "transitions"))
+    def __new__(cls, transitions):
+        return super().__new__(cls, probabilities(transitions, 2, "transitions"))
 
     @property
     def n_in(self) -> int:

@@ -11,7 +11,7 @@ coordinate is a convex combination of at most two extreme points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import bounds, curves
@@ -30,15 +30,12 @@ _BLOCK = 1 << 15  # row entries held in memory at a time
 _NODES = 64  # exact upper-envelope values behind verify's chord screen
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    """Outcome of a Monte Carlo envelope sweep (violations at 1e-9 slack)."""
+VerifyReport = namedtuple("VerifyReport", "samples violations_lower violations_upper max_excess seed")
+VerifyReport.__doc__ = """Outcome of a Monte Carlo envelope sweep.
 
-    samples: int
-    violations_lower: int
-    violations_upper: int
-    max_excess: float
-    seed: int
+A sample is a violation when its excess over an envelope exceeds 1e-9
+times the norms' scale, max(1, ||u_n||_alpha); max_excess is absolute.
+"""
 
 
 def witness_min(n: int, h: float) -> JointDist:
@@ -127,14 +124,16 @@ def _chunk_measures(
     return np.clip((py * ent).sum(axis=1), 0.0, math.log(n)), (py * nrm).sum(axis=1)
 
 
-def _tally(samples: int, seed: int, width: int, excesses) -> VerifyReport:
-    """Count excesses above 1e-9 over fixed chunks of the samples.
+def _tally(n: int, alpha: float, samples: int, seed: int, width: int, excesses) -> VerifyReport:
+    """Count excesses above 1e-9 of the norms' scale over fixed chunks of the samples.
 
-    Each sample takes width floats, and a chunk holds at most _CHUNK
-    samples and _BUDGET floats. excesses(count, chunk_index) gives the
-    lower and upper excesses of one chunk (the upper may be None). Chunks
-    draw from sub-seeds derived from (seed, chunk), so the report does not
-    depend on how they are scheduled.
+    The scale, max(1, ||u_n||_alpha), bounds every alpha-norm on n symbols:
+    below order 1 the norms reach n^(1/alpha - 1), where rounding alone
+    exceeds an absolute 1e-9. Each sample takes width floats, and a chunk
+    holds at most _CHUNK samples and _BUDGET floats. excesses(count,
+    chunk_index) gives the lower and upper excesses of one chunk (the upper
+    may be None). Chunks draw from sub-seeds derived from (seed, chunk), so
+    the report does not depend on how they are scheduled.
     """
     if samples < 1:
         raise DomainError(f"samples={samples} must be >= 1")
@@ -143,12 +142,16 @@ def _tally(samples: int, seed: int, width: int, excesses) -> VerifyReport:
         raise DomainError(f"a sample of {width} floats exceeds the {_BUDGET}-float chunk budget")
     bad = [0, 0]
     max_excess = 0.0
+    slack = 0.0
     for chunk_index, done in enumerate(range(0, samples, chunk)):
-        for side, excess in enumerate(excesses(min(chunk, samples - done), chunk_index)):
+        sides = excesses(min(chunk, samples - done), chunk_index)
+        # after the first chunk's kernels: what they refuse keeps its message
+        slack = slack or 1e-9 * max(1.0, curves.norm_uniform(n, alpha))
+        for side, excess in enumerate(sides):
             if excess is not None:
-                if not np.isfinite(excess).all():  # NaN > 1e-9 is False: it would pass silently
+                if not np.isfinite(excess).all():  # NaN > slack is False: it would pass silently
                     raise NumericalError(f"non-finite envelope excess in chunk {chunk_index} of seed {seed}")
-                bad[side] += int((excess > 1e-9).sum())
+                bad[side] += int((excess > slack).sum())
                 max_excess = max(max_excess, float(excess.max()))
     return VerifyReport(
         samples=samples,
@@ -194,7 +197,7 @@ def _upper_screen(n: int, alpha: float):
 
 
 def verify_envelope(n: int, alpha: float, samples: int, seed: int, y_size: int = 4) -> VerifyReport:
-    """Sample random joints and count envelope violations at tolerance 1e-9.
+    """Sample random joints and count envelope violations at _tally's scaled slack.
 
     The upper envelope is checked only where it exists for (n, alpha).
     """
@@ -212,7 +215,7 @@ def verify_envelope(n: int, alpha: float, samples: int, seed: int, y_size: int =
         screen = screen or _upper_screen(n, alpha)
         return excess_lo, screen(h, norm)
 
-    return _tally(samples, seed, y_size * n, excesses)
+    return _tally(n, alpha, samples, seed, y_size * n, excesses)
 
 
 def verify_sandwich(n: int, alpha: float, samples: int, seed: int) -> VerifyReport:
@@ -220,7 +223,7 @@ def verify_sandwich(n: int, alpha: float, samples: int, seed: int) -> VerifyRepo
 
     For each sampled point, the stepped-curve norm at its entropy must not
     exceed its alpha-norm, and the peaked-curve norm must not fall below it
-    (tolerance 1e-9). Chunked and sub-seeded like verify_envelope.
+    (at _tally's scaled slack). Chunked and sub-seeded like verify_envelope.
     """
     _check_sampling(n, 1, seed)
 
@@ -230,7 +233,7 @@ def verify_sandwich(n: int, alpha: float, samples: int, seed: int) -> VerifyRepo
         x = alpha_norm(pts, alpha)
         return lo - x, x - hi
 
-    return _tally(samples, seed, n, excesses)
+    return _tally(n, alpha, samples, seed, n, excesses)
 
 
 @lru_cache(maxsize=64)

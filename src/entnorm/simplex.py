@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 SUM_TOL = 1e-12
 _LOG_TINY = 700.0  # e^-700 ~ 1e-304: a power sum at least this large is a normal double
@@ -24,7 +24,7 @@ class DomainError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical search failed (bracket without sign change, etc.)."""
+    """A verify sweep met a non-finite envelope excess (a NaN or infinite norm or bound)."""
 
 
 class _LazyNumpy:
@@ -104,14 +104,14 @@ def _xlogx(x):
     return x * math.log(x) if x > 0.0 else 0.0
 
 
-@dataclass(frozen=True)
-class ProbVector:
-    """An n-ary probability vector: entries in [0, 1] summing to 1."""
+class ProbVector(namedtuple("ProbVector", "values")):
+    """An n-ary probability vector: entries in [0, 1] summing to 1, held as a tuple of floats."""
 
-    values: tuple[float, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(probabilities(self.values, 1, "values").tolist()))
+    def __new__(cls, values):
+        return super().__new__(cls, tuple(probabilities(values, 1, "values").tolist()))
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.values, dtype=dtype)

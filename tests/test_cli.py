@@ -198,6 +198,13 @@ class TestVerify:
             code, out, err = run(capsys, "verify", "--n", "1", "--alpha", "2")
         assert code == 1 and out == "" and err.count("\n") == 1
 
+    # every binary sample lies on the envelope; the norms, near 5e5 and 6e29, round by more than 1e-9
+    @pytest.mark.parametrize("alpha, samples", [("0.05", "4000"), ("0.01", "1000")])
+    def test_rounding_in_large_norms_is_no_violation(self, capsys, alpha, samples):
+        code, out, _ = run(capsys, "verify", "--n", "2", "--alpha", alpha, "--samples", samples, "--y-size", "1")
+        payload = json.loads(out)
+        assert code == 0 and payload["violations_lower"] == 0 and payload["violations_upper"] == 0
+
     def test_violations_exit_three(self, capsys, monkeypatch):
         import entnorm.cli as cli
         from entnorm.oracle import VerifyReport

@@ -160,7 +160,7 @@ class TestTally:
             return np.full(count, np.nan), None
 
         with pytest.raises(NumericalError, match="non-finite"):
-            oracle._tally(10, 0, 4, excesses)
+            oracle._tally(2, 2.0, 10, 0, 4, excesses)
 
 
 _EXACT_UPPER = bounds._envelope_upper_vec
@@ -173,7 +173,7 @@ def _exact_report(n, alpha, samples, seed, y_size, kernel=_EXACT_UPPER):
         h, norm = oracle._chunk_measures(n, y_size, alpha, count, seed, chunk_index)
         return bounds._envelope_lower_vec(n, alpha, h) - norm, norm - kernel(n, alpha, h)
 
-    return oracle._tally(samples, seed, y_size * n, excesses)
+    return oracle._tally(n, alpha, samples, seed, y_size * n, excesses)
 
 
 @pytest.fixture
@@ -238,6 +238,18 @@ class TestUpperScreen:
         assert got.violations_upper >= h.size // 6  # at least every +1e-6 plant
         assert got.max_excess > 0.0
         assert 0 < sum(exact_calls[1:]) < h.size  # both the screen and the exact kernel decided some
+
+    @pytest.mark.parametrize("n, alpha", [(2, 0.05), (8, 0.7), (8, 2.0)])
+    def test_slack_scales_with_the_uniform_norm(self, n, alpha, monkeypatch):
+        scale = max(1.0, curves.norm_uniform(n, alpha))  # 2^19 at (2, 0.05), 1 at order 2
+        h = np.repeat(np.linspace(0.0, math.log(n), 25), 4)
+        lower, upper = bounds._envelope_lower_vec(n, alpha, h), _EXACT_UPPER(n, alpha, h)
+        off = scale * np.tile([1e-8, 1e-10], h.size // 2)  # beyond the slack, then within it
+        norm = np.where(np.arange(h.size) % 4 < 2, upper + off, lower - off)
+        self._plant(monkeypatch, h, norm)
+        got = verify_envelope(n, alpha, h.size, seed=0, y_size=1)
+        assert (got.violations_lower, got.violations_upper) == (h.size // 4, h.size // 4)
+        assert got.max_excess == pytest.approx(1e-8 * scale, rel=1e-3)  # absolute, not scaled
 
     def test_nan_norm_reaches_the_exact_kernel(self, monkeypatch):
         h = np.array([0.3, 0.9])
