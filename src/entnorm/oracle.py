@@ -3,9 +3,11 @@
 Nothing here trusts the envelope formulas. The witnesses realize the
 boundary by construction, the Monte Carlo verifier samples joints
 uniformly and counts violations, and the brute-force functions rebuild
-the hull boundary from two-point mixtures of raw curve samples. Two-point
-mixtures suffice: a planar convex-hull boundary point at a fixed first
-coordinate is a convex combination of at most two extreme points.
+the hull boundary from raw curve samples: a monotone-chain hull, built
+once per (n, alpha, grid, side) and cached, answers each query with the
+chord between its two vertices around h. Two vertices suffice: a planar
+convex-hull boundary point at a fixed first coordinate is a convex
+combination of at most two extreme points.
 """
 
 from __future__ import annotations
@@ -237,62 +239,57 @@ def verify_sandwich(n: int, alpha: float, samples: int, seed: int) -> VerifyRepo
 
 
 @lru_cache(maxsize=64)
-def _peaked_samples(n: int, alpha: float, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    # i/G is exact for power-of-two G, so halved grids are exact subsets
+def _sample_hull(n: int, alpha: float, grid_size: int, upper: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Upper hull of the peaked-curve samples, or lower hull of the stepped ones: vertices sorted by h.
+
+    Andrew's monotone chain over the samples at t = i/G, taken by h and, at
+    equal h, most extreme norm first, so that is the vertex a query there hits.
+    i/G is exact for power-of-two G, so a halved grid's samples are a subset.
+    """
     t = np.arange(grid_size + 1, dtype=np.float64) / grid_size
-    p = t * (1.0 / n)
-    return curves.entropy_peaked(n, p), curves.norm_peaked(n, p, alpha)
+    if upper:
+        p = t * (1.0 / n)
+        hs, vs = curves.entropy_peaked(n, p), curves.norm_peaked(n, p, alpha)
+    else:
+        p = 1.0 / n + t * (1.0 - 1.0 / n)
+        hs, vs = curves.entropy_stepped(n, p), curves.norm_stepped(n, p, alpha)
+    sign = 1.0 if upper else -1.0
+    order = np.lexsort((-sign * vs, hs))
+    xs, ys = [], []
+    for x, y in zip(hs[order].tolist(), vs[order].tolist()):
+        # drop the last vertex while it lies on or inside the chord from the one before it to (x, y)
+        while len(xs) >= 2 and sign * ((xs[-1] - xs[-2]) * (y - ys[-2]) - (ys[-1] - ys[-2]) * (x - xs[-2])) >= 0.0:
+            xs.pop()
+            ys.pop()
+        xs.append(x)
+        ys.append(y)
+    return np.array(xs), np.array(ys)
 
 
-@lru_cache(maxsize=64)
-def _stepped_samples(n: int, alpha: float, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    t = np.arange(grid_size + 1, dtype=np.float64) / grid_size
-    p = 1.0 / n + t * (1.0 - 1.0 / n)
-    return curves.entropy_stepped(n, p), curves.norm_stepped(n, p, alpha)
-
-
-def _mixture_extreme(h_pts: np.ndarray, n_pts: np.ndarray, h: float, want_max: bool) -> float:
-    """Best two-point mixture value at abscissa h over the sampled curve."""
+def _hull_value(n: int, alpha: float, h: float, grid_size: int, upper: bool) -> float:
+    if not 16 <= grid_size <= _BUDGET or grid_size != int(grid_size):  # NaN fails the range
+        raise DomainError(f"grid_size={grid_size!r} must be an integer from 16 to {_BUDGET}")
+    h = curves.clamp_entropy(n, h)
+    xs, ys = _sample_hull(n, float(alpha), int(grid_size), upper)
     # float noise can leave the sampled curve a few ulp short of [0, ln n]
-    h = min(max(h, float(h_pts.min())), float(h_pts.max()))
-    left = h_pts <= h
-    right = h_pts >= h
-    hl, nl = h_pts[left], n_pts[left]
-    hr, nr = h_pts[right], n_pts[right]
-    span = hr[None, :] - hl[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = (hr[None, :] - h) / span
-        vals = lam * nl[:, None] + (1.0 - lam) * nr[None, :]
-    ok = span > 0.0
-    best = float(np.max(np.where(ok, vals, -np.inf))) if want_max else float(
-        np.min(np.where(ok, vals, np.inf))
-    )
-    exact = h_pts == h
-    if exact.any():
-        hit = n_pts[exact]
-        cand = float(hit.max() if want_max else hit.min())
-        best = max(best, cand) if want_max else min(best, cand)
-    return best
+    h = min(max(h, float(xs[0])), float(xs[-1]))
+    j = int(np.searchsorted(xs, h))
+    if xs[j] == h:
+        return float(ys[j])
+    lam = (xs[j] - h) / (xs[j] - xs[j - 1])
+    return float(lam * ys[j - 1] + (1.0 - lam) * ys[j])
 
 
 def brute_force_upper(n: int, alpha: float, h: float, grid_size: int) -> float:
-    """Hull upper boundary at h from two-point mixtures of peaked-curve samples.
+    """Upper hull boundary at h of the peaked-curve samples at t = i/G, one chord per query.
 
     Converges to the upper envelope from below as the grid refines; with
-    power-of-two sizes a coarser grid's candidates are a subset of a finer
-    grid's, so refinement is monotone.
+    power-of-two sizes a coarser grid's samples are a subset of a finer
+    grid's, so refinement is monotone. The hull is cached per (n, alpha, G).
     """
-    if grid_size < 16:
-        raise DomainError(f"grid_size={grid_size} must be >= 16")
-    h = curves.clamp_entropy(n, h)
-    hs, ns = _peaked_samples(n, float(alpha), grid_size)
-    return _mixture_extreme(hs, ns, h, want_max=True)
+    return _hull_value(n, alpha, h, grid_size, True)
 
 
 def brute_force_lower(n: int, alpha: float, h: float, grid_size: int) -> float:
-    """Hull lower boundary at h from two-point mixtures of stepped-curve samples."""
-    if grid_size < 16:
-        raise DomainError(f"grid_size={grid_size} must be >= 16")
-    h = curves.clamp_entropy(n, h)
-    hs, ns = _stepped_samples(n, float(alpha), grid_size)
-    return _mixture_extreme(hs, ns, h, want_max=False)
+    """Lower hull boundary at h of the stepped-curve samples; cached and refined as brute_force_upper."""
+    return _hull_value(n, alpha, h, grid_size, False)

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from entnorm import oracle
 from entnorm.bounds import (
     envelope_lower,
     envelope_upper,
@@ -142,6 +143,22 @@ def test_criterion_06_brute_force_oracle_equivalence():
                 assert (brute_force_lower(n, alpha, h, 2048) - lo) >= (bf_lo_fine - lo) - 1e-15
     assert worst < 1e-3
     _report(6, f"two-point-mixture hull search at grid 4096 within 1e-3 of the envelopes (max gap={worst:.2e})", t0)
+
+
+def test_criterion_06_hull_oracle_at_grid_2_20():
+    t0 = time.monotonic()
+    worst_up = worst_lo = 0.0
+    try:
+        for n, alpha in ((8, 2.0), (3, 0.5)):
+            for h in np.linspace(1e-3, LN(n) - 1e-3, 65):
+                h = float(h)
+                worst_up = max(worst_up, abs(envelope_upper(n, alpha, h) - brute_force_upper(n, alpha, h, 1 << 20)))
+                worst_lo = max(worst_lo, abs(envelope_lower(n, alpha, h) - brute_force_lower(n, alpha, h, 1 << 20)))
+    finally:
+        oracle._sample_hull.cache_clear()  # an upper hull here holds up to 12 MB of vertices
+    assert max(worst_up, worst_lo) < 1e-9
+    _report(6, f"hull oracle at grid 2^20 within 1e-9 of the envelopes (max gap upper={worst_up:.2e}, "
+            f"lower={worst_lo:.2e})", t0)
 
 
 def test_criterion_07_e0_identity_and_containment():

