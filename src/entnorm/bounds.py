@@ -157,7 +157,7 @@ def _check_norm(n: int, alpha: float, norm: float) -> float:
 def _peaked_p_at_norm(n: int, alpha: float, norm: float, p_hi: float) -> float:
     """The p in [0, p_hi] where the peaked curve has the given alpha-norm."""
     rising = 1.0 if alpha < 1.0 else -1.0  # the norm rises with p below order 1
-    return curves.bisect(lambda p: rising * (curves.norm_peaked(n, p, alpha) - norm), 0.0, p_hi)
+    return curves.root(lambda p: rising * (curves.norm_peaked(n, p, alpha) - norm), 0.0, p_hi)
 
 
 def entropy_range_for_norm(n: int, alpha: float, norm: float) -> tuple[float, float]:
@@ -173,7 +173,7 @@ def entropy_range_for_norm(n: int, alpha: float, norm: float) -> tuple[float, fl
     h_peaked = curves.entropy_peaked(n, _peaked_p_at_norm(n, alpha, norm, 1.0 / n))
     # the stepped norm runs against the peaked one as p grows
     rising = 1.0 if alpha < 1.0 else -1.0
-    pp = curves.bisect(lambda p: rising * (norm - curves.norm_stepped(n, p, alpha)), 1.0 / n, 1.0)
+    pp = curves.root(lambda p: rising * (norm - curves.norm_stepped(n, p, alpha)), 1.0 / n, 1.0)
     h_stepped = curves.entropy_stepped(n, pp)
     return (h_peaked, h_stepped) if alpha < 1.0 else (h_stepped, h_peaked)
 
@@ -182,8 +182,8 @@ def cond_entropy_range_for_norm(n: int, alpha: float, norm: float) -> tuple[floa
     """Conditional entropies compatible with a given expected alpha-norm.
 
     Inverts the strictly monotone envelopes: in closed form on their
-    straight pieces, by bisection in p on the peaked curve. Requires the
-    upper envelope to exist for (n, alpha).
+    straight pieces, by curves.root in p on the peaked curve. Requires
+    the upper envelope to exist for (n, alpha).
     """
     ts = curves.tangent_point(n, alpha)  # validates n and the order range
     norm = _check_norm(n, alpha, norm)

@@ -13,8 +13,9 @@ array and return the same kind. Each is one formula: floats go through
 ``math`` and arrays elementwise through numpy.
 
 Every equation solved here is either strictly monotone or has a single
-sign change in its bracket, so one bisection, ``bisect``, solves them all
-and converges unconditionally.
+sign change in its bracket, so one bracketed root finder, ``root``, solves
+them all: false-position steps for a float, fixed halvings for an array.
+Each keeps the bracket, so each converges unconditionally.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 from .simplex import SUM_TOL, DomainError, _clamp, _finite, _norm, _pow, _power_sum, _xlogx, is_array, np, step_count
 
-_HALVINGS = 64  # leaves a root within 2^-65 of its bracket's width
+_HALVINGS = 64  # an array solve halves this often; a float solve stops no wider, within 2^-65 of the bracket's width
 _H_SLACK = 1e-9  # entropies this far outside [0, ln n] are clipped, not rejected
 _EXP_MAX = 709.0  # exp overflows float64 just above this
 
@@ -58,22 +59,49 @@ def clamp_entropy(n: int, h, name: str = "h"):
     return _clamp(h, 0.0, math.log(n), _H_SLACK, name, f"[0, ln {n}]")
 
 
-def bisect(f, lo, hi, rising: bool = True):
+def root(f, lo, hi, rising: bool = True, f_lo=None, f_hi=None):
     """Where the monotone f crosses from negative to non-negative in [lo, hi]; if not rising, positive to non-positive.
 
-    f may map an array to an array, which bisects each element in its own
-    bracket. The bracket is halved a fixed number of times, so a float and
-    an array call take the same steps.
+    f_lo and f_hi are f at the ends, where the caller has them. f may map an
+    array to an array: then each element's bracket is halved _HALVINGS
+    times. A float solve takes Illinois false-position steps (Dowell &
+    Jarratt, 1971) inside the bracket, and a plain halving instead after two
+    steps that have not halved it, or where only halvings from here would
+    narrow it to the floor within 2 * _HALVINGS steps. It stops at adjacent
+    doubles, at the floor, the width _HALVINGS halvings leave, or at an
+    exact zero of f, which it returns. A NaN from f moves the same end as it
+    does in a halving.
     """
-    for _ in range(_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        below = f(mid) < 0.0 if rising else f(mid) > 0.0
-        if is_array(below):
+    f_lo = f(lo) if f_lo is None else f_lo
+    if is_array(f_lo):
+        for _ in range(_HALVINGS):
+            mid = 0.5 * (lo + hi)
+            below = f(mid) < 0.0 if rising else f(mid) > 0.0
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        elif below:
-            lo = mid
+        return 0.5 * (lo + hi)
+    sign = 1.0 if rising else -1.0
+    g_lo, g_hi = sign * f_lo, sign * (f(hi) if f_hi is None else f_hi)
+    if g_lo == 0.0 or g_hi == 0.0:
+        return lo if g_lo == 0.0 else hi
+    floor, budget = (hi - lo) * 2.0**-_HALVINGS, (hi - lo) * 2.0**_HALVINGS
+    ref, kept, tries = hi - lo, 0, 0  # width to halve, end the last false-position step moved, steps since ref
+    while hi - lo > max(floor, math.ulp(0.5 * (lo + hi))):
+        budget *= 0.5  # a bracket wider than this needs every step left to be a halving
+        secant = tries < 2 and hi - lo <= budget
+        x = lo + (hi - lo) * (g_lo / (g_lo - g_hi)) if secant else 0.5 * (lo + hi)
+        x = x if lo < x < hi else 0.5 * (lo + hi)  # a NaN or inf g makes the step a halving
+        g = sign * f(x)
+        if g == 0.0:
+            return x
+        if g < 0.0:
+            lo, g_lo = x, g
+            g_hi *= 0.5 if secant and kept < 0 else 1.0  # Illinois: halve the end that two steps kept
         else:
-            hi = mid
+            hi, g_hi = x, g
+            g_lo *= 0.5 if secant and kept > 0 else 1.0
+        kept = (-1 if g < 0.0 else 1) if secant else kept
+        tries = tries + 1 if hi - lo > 0.5 * ref else 0
+        ref = ref if tries else hi - lo
     return 0.5 * (lo + hi)
 
 
@@ -83,7 +111,7 @@ _TANGENT_PROBES = tuple(math.prod((1e-14,) + (1e-4,) * k) for k in range(6))  # 
 
 
 def _bracketed_root(f, fixed: float, probes, n: int, alpha: float, what: str) -> float:
-    """The root of f, bisected from fixed to the first probe where f has the other sign.
+    """The root of f, solved between fixed and the first probe where f has the other sign.
 
     DomainError naming the order when no probe has: doubles cannot bracket the root.
     """
@@ -91,8 +119,8 @@ def _bracketed_root(f, fixed: float, probes, n: int, alpha: float, what: str) ->
     for probe in probes:
         f_probe = f(probe)
         if (f_probe < 0.0) != (f_fixed < 0.0):  # the signs themselves: a product of the two can underflow
-            lo, hi, f_lo = (probe, fixed, f_probe) if probe < fixed else (fixed, probe, f_fixed)
-            return bisect(f, lo, hi, rising=f_lo < 0.0)
+            lo, hi, f_lo, f_hi = (probe, fixed, f_probe, f_fixed) if probe < fixed else (fixed, probe, f_fixed, f_probe)
+            return root(f, lo, hi, f_lo < 0.0, f_lo, f_hi)
     raise DomainError(
         f"unsupported order alpha={alpha!r} for n={n}: no sign change of {what} brackets the root in double "
         f"precision, f({fixed!r})={f_fixed!r}, f({probe!r})={f_probe!r}"
@@ -179,8 +207,8 @@ def inv_entropy_peaked(n: int, h):
     """The p in [0, 1/n] with entropy_peaked(n, p) = h."""
     _check_n(n)
     h = clamp_entropy(n, h)
-    p = bisect(lambda p: _entropy_peaked(n, p) - h, 0.0, 1.0 / n)
-    # exact ends: bisection leaves p a few ulp inside, which inflates p^alpha
+    p = root(lambda p: _entropy_peaked(n, p) - h, 0.0, 1.0 / n)
+    # exact ends: the solve leaves p a few ulp inside, which inflates p^alpha
     # noticeably for small alpha. The curve is quadratically flat at its top,
     # so inversion there is ill-conditioned in h: snap when h matches the top
     # to float precision.
@@ -192,7 +220,7 @@ def inv_entropy_stepped(n: int, h):
     """The p in [1/n, 1] with entropy_stepped(n, p) = h."""
     _check_n(n)
     h = clamp_entropy(n, h)
-    p = bisect(lambda p: h - _entropy_stepped(n, p), 1.0 / n, 1.0)
+    p = root(lambda p: h - _entropy_stepped(n, p), 1.0 / n, 1.0)
     # segment corners p = 1/m (1 at h = 0, 1/n at h = ln n) are quadratically
     # flat from the upper-p side; snap when h matches a corner value to float
     # precision
@@ -304,7 +332,7 @@ def _residual(n: int, p: float, alpha: float, u: float) -> float:
 
 
 def solve_tangent_generic(n: int, alpha: float) -> float:
-    """Find the tangency parameter by bisection, with no closed-form shortcuts.
+    """Find the tangency parameter by a bracketed root solve, with no closed-form shortcuts.
 
     Brackets the unique root of tangent_residual between ~0 and the
     inflection parameter. Needs n >= 3.

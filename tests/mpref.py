@@ -1,0 +1,76 @@
+"""A 50-digit mpmath reference for the tests: the peaked curve and its two roots.
+
+Each root is bracketed and then bisected, never polished by Newton-type
+steps, so a reference value cannot wander off to another root or fail to
+converge where the double-precision solve it checks succeeded.
+"""
+
+from __future__ import annotations
+
+import mpmath as mp
+
+DPS = 50
+_HALVINGS = 200  # 2^-200 of the bracket is far below 50 digits of any root checked here
+_INFLECTION_GAPS = ("1e-6", "1e-9", "1e-12", "1e-15", "1e-20")  # relative, below 1/n
+
+
+def bisect(f, lo, hi):
+    """The sign change of f in [lo, hi], by plain halving; AssertionError if f has one sign at both ends."""
+    below = f(lo) < 0
+    assert below != (f(hi) < 0), f"no sign change of f in [{lo}, {hi}]"
+    for _ in range(_HALVINGS):
+        mid = (lo + hi) / 2
+        if (f(mid) < 0) == below:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def entropy_peaked(n, p):
+    """-q ln q - (n-1) p ln p, q = 1 - (n-1)p."""
+    q = 1 - (n - 1) * p
+    return -q * mp.log(q) - (n - 1) * p * mp.log(p)
+
+
+def norm_peaked(n, p, a):
+    """((n-1) p^a + q^a)^(1/a)."""
+    q = 1 - (n - 1) * p
+    return ((n - 1) * p**a + q**a) ** (1 / a)
+
+
+def curvature_sign(n, p, a):
+    """The sign surrogate of the peaked curve's curvature in entropy coordinates, z = q/p."""
+    z = (1 - (n - 1) * p) / p
+    logz = mp.log(z)
+    return (a - 1) + ((n - 1) + z**a) * mp.expm1((1 - a) * logz) / (((n - 1) + z) * logz)
+
+
+def inflection_p(n: int, alpha: float):
+    """The zero of curvature_sign on (1/(n(n-1)), 1/n), bisected up to the first gap below 1/n with the other sign."""
+    with mp.workdps(DPS):
+        n, a = mp.mpf(n), mp.mpf(alpha)
+        lo = 1 / (n * (n - 1))
+        below = curvature_sign(n, lo, a) < 0
+        for gap in _INFLECTION_GAPS:
+            hi = (1 / n) * (1 - mp.mpf(gap))
+            if (curvature_sign(n, hi, a) < 0) != below:
+                return bisect(lambda p: curvature_sign(n, p, a), lo, hi)
+        raise AssertionError(f"no sign change of the curvature below 1/{n} at order {alpha}")
+
+
+def tangent_p(n: int, alpha: float):
+    """The tangency root N'(p)(ln n - H(p)) = H'(p)(u - N(p)), u = n^(1/alpha - 1), on (0, inflection_p)."""
+    with mp.workdps(DPS):
+        hi = inflection_p(n, alpha)
+        n, a = mp.mpf(n), mp.mpf(alpha)
+        u = n ** (1 / a - 1)
+
+        def residual(p):
+            q = 1 - (n - 1) * p
+            norm = norm_peaked(n, p, a)
+            dnorm = norm ** (1 - a) * (n - 1) * (p ** (a - 1) - q ** (a - 1))
+            dh = (n - 1) * mp.log(q / p)
+            return dnorm * (mp.log(n) - entropy_peaked(n, p)) - dh * (u - norm)
+
+        return bisect(residual, mp.mpf("1e-60"), hi)

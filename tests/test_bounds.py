@@ -197,14 +197,27 @@ class TestVectorizedTwins:
     # the Monte Carlo verifier and the curve export call these functions on
     # arrays, so an array call must match the same function applied to each
     # element as a float
-    @pytest.mark.parametrize("n,alpha", [(2, 0.3), (3, 0.5), (8, 0.7), (8, 2.0), (5, 4.0)])
+    @pytest.mark.parametrize("n,alpha", [(2, 0.3), (3, 0.5), (8, 0.7), (8, 2.0), (5, 4.0), (100, 50.0)])
     def test_envelopes_match_scalar(self, n, alpha):
         hs = np.linspace(0.0, LN(n), 257)
         lo_vec = envelope_lower(n, alpha, hs)
         assert np.allclose(lo_vec, [envelope_lower(n, alpha, float(h)) for h in hs], atol=1e-12, rtol=1e-12)
         if has_upper_envelope(n, alpha):
             up_vec = envelope_upper(n, alpha, hs)
-            assert np.allclose(up_vec, [envelope_upper(n, alpha, float(h)) for h in hs], atol=1e-10, rtol=1e-12)
+            scalar = [envelope_upper(n, alpha, float(h)) for h in hs]
+            assert np.allclose(up_vec, scalar, atol=1e-10, rtol=1e-12)
+            assert np.allclose(up_vec, scalar, atol=0.0, rtol=1e-14)  # see test_curve_norms_match_scalar
+
+    @pytest.mark.parametrize("n,alpha", [(2, 0.3), (3, 0.5), (3, 0.51), (8, 0.7), (8, 2.0), (5, 4.0), (100, 50.0)])
+    def test_curve_norms_match_scalar(self, n, alpha):
+        # a float inversion takes false-position steps, an array one fixed halvings: both land within
+        # the noise of f, which moves a norm along either curve by less than 1e-14 of itself
+        hs = np.linspace(0.0, LN(n), 257)
+        scalar = [(norm_peaked(n, inv_entropy_peaked(n, float(h)), alpha),
+                   norm_stepped(n, inv_entropy_stepped(n, float(h)), alpha)) for h in hs]
+        vec = np.stack([norm_peaked(n, inv_entropy_peaked(n, hs), alpha),
+                        norm_stepped(n, inv_entropy_stepped(n, hs), alpha)], axis=1)
+        assert np.allclose(vec, scalar, atol=0.0, rtol=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_stepped_inverse_matches_scalar(self, n):
@@ -256,7 +269,8 @@ class TestUpperEnvelopeSmallEntropy:
     @pytest.mark.xfail(
         strict=True,
         reason="mostly the lost -q ln q term: _entropy_peaked rounds q = 1 - (n-1)p to 1 at p = 2.6e-17, "
-        "dropping about (n-1)p, 2.6% of h; 64 halvings of [0, 1/2] also resolve p to only ~5e-4 of itself. "
+        "dropping about (n-1)p, 2.6% of h; the solve also stops at the width 64 halvings of [0, 1/2] leave, "
+        "which resolves p to only ~5e-4 of itself. "
         "The norm ends ~2.8e-7 off; see ROADMAP item 2",
     )
     def test_matches_mpmath_at_1e_15(self):

@@ -155,6 +155,16 @@ class TestCurve:
         assert float(last_bits[0]) == pytest.approx(float(last_nats[0]) / LN(2), rel=1e-15)
         assert last_bits[1:] == last_nats[1:]
 
+    @pytest.mark.parametrize("grid", [2**20 + 1, 10**10])
+    def test_grid_above_bound_refused_before_allocating(self, capsys, monkeypatch, grid):
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("allocated a grid")
+
+        monkeypatch.setattr("entnorm.cli.np.arange", no_arrays)
+        code, out, err = run(capsys, "curve", "--n", "8", "--alpha", "2", "--grid", str(grid))
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "1048576" in err
+
 
 class TestVerify:
     def test_ok_run(self, capsys):

@@ -5,6 +5,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import mpref
+from entnorm import curves
 from entnorm.curves import (
     InflectionPoint,
     curvature_sign,
@@ -17,6 +19,7 @@ from entnorm.curves import (
     norm_peaked,
     norm_stepped,
     norm_uniform,
+    root,
     solve_tangent_generic,
     tangent_point,
     tangent_residual,
@@ -354,3 +357,92 @@ class TestExtremeOrders:
     def test_huge_order_named_unsupported(self):
         with pytest.raises(DomainError, match="unsupported order alpha=1e\\+300"):
             inflection_point(8, 1e300)
+
+
+class TestRoot:
+    """curves.root: Illinois steps inside the bracket for a float f, fixed halvings for an array f."""
+
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return f(x)
+
+        return g, calls
+
+    def test_float_solves_within_twice_the_halvings(self, monkeypatch):
+        evals = []
+
+        def counting_root(f, lo, hi, rising=True, f_lo=None, f_hi=None):
+            g, calls = self.counted(f)
+            p = root(g, lo, hi, rising, f_lo, f_hi)
+            evals.append(len(calls) + (f_lo is not None) + (f_hi is not None))
+            return p
+
+        monkeypatch.setattr(curves, "root", counting_root)
+        curves._inflection_cached.cache_clear()
+        curves._tangent_cached.cache_clear()
+        try:
+            for n in (3, 8, 100, 10**4, 10**6):
+                for alpha in (0.5 + 1e-7, 0.7, 0.99, 0.9999, 1.0001, 1.01, 2.0, 50.0, 1000.0):
+                    tangent_point(n, alpha)
+                for h in np.linspace(0.0, LN(n), 41):
+                    inv_entropy_peaked(n, float(h))
+                    inv_entropy_stepped(n, float(h))
+        finally:
+            curves._inflection_cached.cache_clear()
+            curves._tangent_cached.cache_clear()
+        assert len(evals) == 5 * 9 * 2 + 5 * 41 * 2
+        assert max(evals) <= 2 * curves._HALVINGS + 2
+
+    @pytest.mark.parametrize("rising", [True, False])
+    def test_exact_zero_is_returned(self, rising):
+        s = 1.0 if rising else -1.0
+        assert root(lambda x: s * x, 0.0, 1.0, rising) == 0.0
+        assert root(lambda x: s * (x - 1.0), 0.0, 1.0, rising) == 1.0
+        f, calls = self.counted(lambda x: s * (x - 0.25))
+        assert root(f, 0.0, 1.0, rising) == 0.25  # the first false-position step lands on it
+        assert len(calls) == 3
+
+    def test_float_and_array_agree(self):
+        f = lambda x: math.expm1(3.0 * x) - 0.5  # noqa: E731
+        got = root(f, 0.0, 1.0)
+        assert got == pytest.approx(math.log1p(0.5) / 3.0, rel=2 * sys.float_info.epsilon)
+        ref = root(lambda x: np.expm1(3.0 * x) - 0.5, np.zeros(1), np.ones(1))
+        assert got == pytest.approx(float(ref[0]), rel=2 * sys.float_info.epsilon)
+
+    def test_nan_moves_the_bracket_as_a_halving_does(self):
+        def f(x):
+            return x - 0.3 if x < 0.6 else math.nan
+
+        def f_vec(x):
+            return np.where(x < 0.6, x - 0.3, np.nan)
+
+        assert root(f, 0.0, 1.0) == pytest.approx(float(root(f_vec, np.zeros(1), np.ones(1))[0]), abs=1e-16)
+        # NaN everywhere inside: every step is a halving toward lo, as in the array path
+        nan_inside = lambda x: -1.0 if x == 0.0 else 1.0 if x == 1.0 else math.nan  # noqa: E731
+        want = root(lambda x: np.where(x == 0.0, -1.0, np.where(x == 1.0, 1.0, np.nan)), np.zeros(1), np.ones(1))
+        assert root(nan_inside, 0.0, 1.0) == float(want[0]) == 2.0**-65
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_stepped_inverse_across_corners(self, n):
+        for m in range(2, n):
+            for gap in (1e-3, 1e-6, 1e-9):
+                for h in (LN(m) - gap, LN(m) + gap):
+                    p = inv_entropy_stepped(n, h)
+                    assert abs(entropy_stepped(n, p) - h) <= 1e-12
+                    assert (p < 1.0 / m) == (h > LN(m))
+                    assert p == pytest.approx(float(inv_entropy_stepped(n, np.array([h]))[0]), abs=1e-10)
+
+
+class TestAgainstMpref:
+    """p* and the inflection against 50-digit bisected roots (tests/mpref.py)."""
+
+    @pytest.mark.parametrize("n", [3, 8, 100, 10**4])
+    @pytest.mark.parametrize("alpha", [0.5 + 1e-7, 0.7, 2.0, 50.0])
+    def test_tangent_and_inflection(self, n, alpha):
+        want_tangent, want_inflection = mpref.tangent_p(n, alpha), mpref.inflection_p(n, alpha)
+        assert abs(tangent_point(n, alpha).p - want_tangent) <= 5e-13 * want_tangent
+        assert abs(inflection_point(n, alpha).p - want_inflection) <= 5e-13 * want_inflection
