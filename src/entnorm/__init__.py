@@ -8,7 +8,6 @@ achieving witnesses that certify every bound.
 from .simplex import (
     DomainError,
     NumericalError,
-    ProbVector,
     alpha_log,
     alpha_norm,
     make_peaked,

@@ -132,9 +132,9 @@ def envelope(n: int, alpha: float, h: float) -> BoundEnvelope:
 def sandwich_norm(p, alpha: float):
     """Unconditional sandwich: norms of the stepped/peaked vectors at H(p).
 
-    p is a ProbVector or an array of points (last axis). Returns (lower,
-    upper) with lower <= ||p||_alpha <= upper for any order alpha > 0
-    (including inf): floats for one point, arrays for an array of points.
+    p is an array-like of points (last axis). Returns (lower, upper) with
+    lower <= ||p||_alpha <= upper for any order alpha > 0 (including inf):
+    floats for one point, arrays for an array of points.
     """
     p = np.asarray(p, dtype=float)
     n = p.shape[-1]

@@ -24,8 +24,8 @@ from .simplex import DomainError, alpha_norm, np, probabilities, shannon_entropy
 class JointDist(namedtuple("JointDist", "py rows")):
     """Marginal over Y plus one n-ary conditional row per outcome of Y.
 
-    Both fields take any array-like (tuples of ProbVector included) and
-    hold read-only float arrays: py of shape (y,), rows of shape (y, n).
+    Both fields take an array-like and hold read-only float arrays: py of
+    shape (y,), rows of shape (y, n).
     """
 
     __slots__ = ()

@@ -1,19 +1,18 @@
 """Probability vectors on the finite simplex and their basic functionals.
 
 ``probabilities`` is the one check that an array's rows are probability
-vectors; ``ProbVector``, ``measures.JointDist`` and ``measures.Channel``
-all validate through it. ``shannon_entropy`` and ``alpha_norm`` take a
-``ProbVector`` or an array and reduce over its last axis. Everything here
-works in nats (natural logarithm). The two parametric families
-``make_peaked`` and ``make_stepped`` trace the extremal boundary curves
-used by the envelope machinery in :mod:`entnorm.bounds`.
+vectors; the ``make_*`` families, ``measures.JointDist`` and
+``measures.Channel`` all validate through it. ``shannon_entropy`` and
+``alpha_norm`` take an array-like and reduce over its last axis.
+Everything here works in nats (natural logarithm). The two parametric
+families ``make_peaked`` and ``make_stepped`` trace the extremal boundary
+curves used by the envelope machinery in :mod:`entnorm.bounds`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
 
 SUM_TOL = 1e-12
 _LOG_TINY = 700.0  # e^-700 ~ 1e-304: a power sum at least this large is a normal double
@@ -104,23 +103,6 @@ def _xlogx(x):
     return x * math.log(x) if x > 0.0 else 0.0
 
 
-class ProbVector(namedtuple("ProbVector", "values")):
-    """An n-ary probability vector: entries in [0, 1] summing to 1, held as a tuple of floats."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
-
-    def __new__(cls, values):
-        return super().__new__(cls, tuple(probabilities(values, 1, "values").tolist()))
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-
 def _clamp(x, lo: float, hi: float, slack: float, name: str, span: str):
     """x clipped into [lo, hi]; DomainError if any of it (or NaN) lies more than slack outside."""
     if is_array(x):
@@ -132,20 +114,21 @@ def _clamp(x, lo: float, hi: float, slack: float, name: str, span: str):
     return min(max(x, lo), hi)
 
 
-def make_uniform(n: int) -> ProbVector:
-    """The equiprobable distribution on n symbols."""
+def make_uniform(n: int) -> np.ndarray:
+    """The equiprobable distribution on n symbols, a read-only array."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    return ProbVector((1.0 / n,) * n)
+    return probabilities(np.full(n, 1.0 / n), 1, "values")
 
 
-def make_peaked(n: int, p: float) -> ProbVector:
-    """One mass 1-(n-1)p followed by n-1 equal masses p, for p in [0, 1/n]."""
+def make_peaked(n: int, p: float) -> np.ndarray:
+    """One mass 1-(n-1)p followed by n-1 equal masses p, for p in [0, 1/n]; a read-only array."""
     if n < 2:
         raise DomainError("peaked family needs n >= 2")
     p = _clamp(p, 0.0, 1.0 / n, SUM_TOL, "p", f"[0, 1/{n}]")
-    head = 1.0 - (n - 1) * p
-    return ProbVector((head,) + (p,) * (n - 1))
+    values = np.full(n, p)
+    values[0] = 1.0 - (n - 1) * p
+    return probabilities(values, 1, "values")
 
 
 def step_count(p):
@@ -160,20 +143,23 @@ def step_count(p):
     return k - (1.0 - k * p < -SUM_TOL)
 
 
-def make_stepped(n: int, p: float) -> ProbVector:
-    """floor(1/p) masses p, one remainder 1-floor(1/p)*p, zeros after, p in [1/n, 1]."""
+def make_stepped(n: int, p: float) -> np.ndarray:
+    """floor(1/p) masses p, one remainder 1-floor(1/p)*p, zeros after, p in [1/n, 1]; a read-only array."""
     if n < 2:
         raise DomainError("stepped family needs n >= 2")
     p = _clamp(p, 1.0 / n, 1.0, SUM_TOL, "p", f"[1/{n}, 1]")
     k = min(step_count(p), n)
-    vals = (p,) * k + (max(1.0 - k * p, 0.0),) + (0.0,) * (n - k - 1)
-    return ProbVector(vals[:n])  # no remainder when k = n
+    values = np.zeros(n)
+    values[:k] = p
+    if k < n:  # no remainder when k = n
+        values[k] = max(1.0 - k * p, 0.0)
+    return probabilities(values, 1, "values")
 
 
 def shannon_entropy(p):
     """-sum p_i ln p_i in nats over the last axis, with 0 ln 0 = 0.
 
-    p is a ProbVector or an array of probability vectors (last axis).
+    p is an array-like of probability vectors (last axis).
     """
     return -_xlogx(np.asarray(p, dtype=float)).sum(axis=-1)
 
@@ -230,7 +216,7 @@ def _norm(n: int, alpha: float, values, weights=None):
 def alpha_norm(p, alpha: float):
     """(sum p_i^alpha)^(1/alpha) over the last axis; the max entry at alpha = inf.
 
-    p is a ProbVector or an array of probability vectors (last axis).
+    p is an array-like of probability vectors (last axis).
     Defined for alpha > 0. Values lie between 1 and n^(1/alpha - 1)
     (which side is larger depends on alpha vs 1).
     """

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import mpref
 from entnorm.bounds import (
     BoundEnvelope,
     cond_entropy_range_for_norm,
@@ -25,7 +26,7 @@ from entnorm.curves import (
     norm_stepped,
     tangent_point,
 )
-from entnorm.simplex import DomainError, ProbVector, alpha_norm, make_uniform, shannon_entropy
+from entnorm.simplex import DomainError, alpha_norm, make_uniform, probabilities, shannon_entropy
 
 LN = math.log
 
@@ -150,7 +151,7 @@ class TestHalfOrderClosedForm:
     def test_curve_branch_round_trip(self):
         got = envelope_upper_half(4, 0.5)
         p = inv_entropy_peaked(4, 0.5)
-        assert got == pytest.approx(alpha_norm(ProbVector((1 - 3 * p, p, p, p)), 0.5), rel=1e-10)
+        assert got == pytest.approx(alpha_norm(np.array([1 - 3 * p, p, p, p]), 0.5), rel=1e-10)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
     def test_matches_generic(self, n):
@@ -237,23 +238,11 @@ class TestVectorizedTwins:
 
 
 def _mp_envelope_upper_on_curve(n, alpha, h):
-    """The peaked-curve norm at entropy h, with p found by 50-digit bisection."""
-    with mpmath.workdps(50):
+    """The peaked-curve norm at entropy h, with p bisected at 50 digits (tests/mpref.py)."""
+    with mpmath.workdps(mpref.DPS):
         n, alpha, h = mpmath.mpf(n), mpmath.mpf(alpha), mpmath.mpf(h)
-
-        def entropy(p):
-            q = 1 - (n - 1) * p
-            return -q * mpmath.log(q) - (n - 1) * p * mpmath.log(p)
-
-        lo, hi = mpmath.mpf(0), 1 / n
-        for _ in range(400):
-            mid = (lo + hi) / 2
-            if entropy(mid) < h:
-                lo = mid
-            else:
-                hi = mid
-        p = (lo + hi) / 2
-        return ((n - 1) * p**alpha + (1 - (n - 1) * p) ** alpha) ** (1 / alpha)
+        p = mpref.bisect(lambda p: mpref.entropy_peaked(n, p) - h, mpmath.mpf("1e-400"), 1 / n)
+        return mpref.norm_peaked(n, p, alpha)
 
 
 class TestUpperEnvelopeSmallEntropy:
@@ -285,12 +274,12 @@ class TestSandwich:
             u = norm_uniform(5, alpha)
             assert lo == pytest.approx(u, rel=1e-9)
             assert hi == pytest.approx(u, rel=1e-9)
-            lo, hi = sandwich_norm(ProbVector((1.0, 0.0, 0.0)), alpha)
+            lo, hi = sandwich_norm(np.array([1.0, 0.0, 0.0]), alpha)
             assert lo == pytest.approx(1.0, abs=1e-12)
             assert hi == pytest.approx(1.0, abs=1e-12)
 
     def test_strict_for_generic_point(self):
-        pv = ProbVector((0.5, 0.3, 0.2))
+        pv = np.array([0.5, 0.3, 0.2])
         lo, hi = sandwich_norm(pv, 2.0)
         x = alpha_norm(pv, 2.0)
         assert lo < x < hi
@@ -301,7 +290,7 @@ class TestSandwich:
         for _ in range(300):
             n = int(rng.integers(2, 10))
             raw = rng.standard_exponential(n)
-            pv = ProbVector(tuple((raw / raw.sum()).tolist()))
+            pv = probabilities(raw / raw.sum(), 1, "values")
             lo, hi = sandwich_norm(pv, alpha)
             x = alpha_norm(pv, alpha)
             assert lo - 1e-9 <= x <= hi + 1e-9
@@ -335,7 +324,7 @@ class TestEntropyRangeForNorm:
         for i in range(steps + 1):
             for j in range(steps + 1 - i):
                 a, b = i / steps, j / steps
-                pv = ProbVector((a, b, 1.0 - a - b))
+                pv = probabilities((a, b, 1.0 - a - b), 1, "values")
                 x = alpha_norm(pv, alpha)
                 if abs(x - target) < 1e-3:
                     h = shannon_entropy(pv)

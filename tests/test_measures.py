@@ -21,13 +21,13 @@ from entnorm.measures import (
     renyi_range_for_entropy,
     rnorm_range_for_entropy,
 )
-from entnorm.simplex import DomainError, ProbVector, make_stepped, make_uniform
+from entnorm.simplex import DomainError, make_stepped, make_uniform
 
 LN = math.log
 
 
 def _pv(*vals):
-    return ProbVector(tuple(vals))
+    return np.array(vals)
 
 
 def random_joint_arrays(rng, n, y):

@@ -90,6 +90,21 @@ class TestWitnessMax:
             assert abs(expected_alpha_norm(jmax, alpha) - envelope_upper(n, alpha, h)) < 1e-9
 
 
+@pytest.mark.parametrize("n", [10**4, 10**6])
+def test_witnesses_at_large_n(n):
+    # both witnesses at the top of the supported n: read-only rows, h met and the envelope attained
+    for frac in (0.001, 0.5, 0.999):
+        h = frac * LN(n)
+        jmin = witness_min(n, h)
+        assert abs(cond_shannon(jmin) - h) <= 1e-12
+        for alpha in (0.5, 2.0, 50.0):
+            jmax = witness_max(n, alpha, h)
+            assert abs(cond_shannon(jmax) - h) <= 1e-12
+            for j, env in ((jmin, envelope_lower(n, alpha, h)), (jmax, envelope_upper(n, alpha, h))):
+                assert not (j.py.flags.writeable or j.rows.flags.writeable)
+                assert abs(expected_alpha_norm(j, alpha) - env) <= 1e-12 * max(1.0, env)
+
+
 class TestRandomJoint:
     def test_deterministic(self):
         a, b, c = (random_joint(3, 4, seed=s) for s in (9, 9, 10))

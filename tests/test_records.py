@@ -1,4 +1,4 @@
-"""The seven record types: keyword construction, repr, read-only fields, validation and equality."""
+"""The six record types: keyword construction, repr, read-only fields, validation and equality."""
 
 import json
 
@@ -9,13 +9,12 @@ from entnorm.cli import main
 from entnorm.curves import InflectionPoint, TangentPoint
 from entnorm.measures import Channel, JointDist
 from entnorm.oracle import VerifyReport
-from entnorm.simplex import DomainError, ProbVector
+from entnorm.simplex import DomainError
 
 # (record, keyword arguments, repr, keyword arguments it refuses or None)
 RECORDS = [
     (BoundEnvelope, {"lower": 1.0, "upper": None}, "BoundEnvelope(lower=1.0, upper=None)",
      {"lower": 2.0, "upper": 1.0}),
-    (ProbVector, {"values": [0.25, 0.75]}, "ProbVector(values=(0.25, 0.75))", {"values": (0.5, 0.6)}),
     (JointDist, {"py": [1.0], "rows": [[0.5, 0.5]]}, "JointDist(py=array([1.]), rows=array([[0.5, 0.5]]))",
      {"py": [1.0], "rows": [[0.5, 0.5], [1.0, 0.0]]}),
     (Channel, {"transitions": [[1.0, 0.0]]}, "Channel(transitions=array([[1., 0.]]))", {"transitions": [[2.0]]}),
