@@ -23,8 +23,6 @@ from . import curves
 from .curves import has_upper_envelope, norm_uniform  # part of this module's API
 from .simplex import DomainError, is_array, np, shannon_entropy
 
-_H_TOL = 1e-9
-
 
 def _lower_chord(n: int, h):
     """The piece of the lower envelope holding h in [0, ln n]: (m, lam).
@@ -33,8 +31,9 @@ def _lower_chord(n: int, h):
     lam ||u_m|| + (1 - lam) ||u_(m+1)||. At the top, m = n and lam = 1.
     """
     xp = curves._xp(h)
-    # Nudge keeps h = ln m on the segment that starts at m, not the one ending there.
-    m = xp.floor(xp.exp(h) + 1e-9)
+    # e^h at h = ln m can round to 5 ulps below m: a relative 2^-49 lifts it onto the segment that starts
+    # at m, and an h further below ln m than rounding reaches stays on the segment that ends at m.
+    m = xp.floor(xp.exp(h) * (1.0 + 2.0**-49))
     top = m >= n
     m = curves._where(top, max(n - 1, 1), m)
     lam = curves._clip((xp.log(m + 1) - h) / (xp.log(m + 1) - xp.log(m)), 0.0, 1.0)
@@ -117,7 +116,7 @@ class BoundEnvelope(namedtuple("BoundEnvelope", "lower upper")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
     def __new__(cls, lower: float, upper: float | None):
-        if upper is not None and lower > upper + 1e-12:
+        if upper is not None and lower > upper + 1e-12 * max(1.0, upper):
             raise DomainError(f"envelope inverted: lower={lower} > upper={upper}")
         return super().__new__(cls, lower, upper)
 
@@ -138,8 +137,8 @@ def sandwich_norm(p, alpha: float):
     """
     p = np.asarray(p, dtype=float)
     n = p.shape[-1]
-    if n < 2:
-        return (1.0, 1.0)
+    if n < 2:  # every point is the one-symbol (1,): [()] makes the norms of a single point floats
+        return (np.ones(p.shape[:-1])[()], np.ones(p.shape[:-1])[()])
     h = np.clip(shannon_entropy(p), 0.0, math.log(n))
     lo = curves.norm_stepped(n, curves.inv_entropy_stepped(n, h), alpha)
     hi = curves.norm_peaked(n, curves.inv_entropy_peaked(n, h), alpha)
@@ -149,7 +148,7 @@ def sandwich_norm(p, alpha: float):
 def _check_norm(n: int, alpha: float, norm: float) -> float:
     u = norm_uniform(n, alpha)
     lo, hi = min(1.0, u), max(1.0, u)
-    if not (lo - _H_TOL <= norm <= hi + _H_TOL):
+    if not (lo - 1e-9 <= norm <= hi + 1e-9 * hi):
         raise DomainError(f"norm={norm!r} outside attainable range [{lo}, {hi}]")
     return min(max(norm, lo), hi)
 

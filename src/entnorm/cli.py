@@ -122,10 +122,9 @@ def cmd_curve(args) -> int:
     }
     cols = {k: None if v is None else v.tolist() for k, v in cols.items()}
     if args.format == "csv":
-        lines = [",".join(cols)]
-        for row in zip(*(v or [None] * args.grid for v in cols.values())):
-            lines.append(",".join("" if x is None else "%.17g" % x for x in row))
-        _emit("\n".join(lines) + "\n", args.output)
+        fmt = ",".join("" if v is None else "%.17g" for v in cols.values())  # an absent column stays empty
+        rows = zip(*(v for v in cols.values() if v is not None))
+        _emit("\n".join([",".join(cols), *(fmt % row for row in rows)]) + "\n", args.output)
     else:
         _emit(_dump_json({"n": n, "alpha": alpha, **cols}), args.output)
     return EXIT_OK
@@ -189,12 +188,12 @@ def cmd_measures(args) -> int:
         "alpha": alpha,
         "h": h,
         "expected_norm": norm,
-        "renyi": measures.cond_renyi(joint, alpha),
-        "rnorm": measures.cond_rnorm(joint, alpha),
+        "renyi": measures.renyi_map(alpha, norm),
+        "rnorm": measures.rnorm_map(alpha, norm),
         "lower": env.lower,
         "upper": env.upper,
-        "on_lower_boundary": bool(abs(norm - env.lower) <= 1e-9),
-        "on_upper_boundary": None if env.upper is None else bool(abs(norm - env.upper) <= 1e-9),
+        "on_lower_boundary": bool(abs(norm - env.lower) <= 1e-9 * max(1.0, env.lower)),
+        "on_upper_boundary": None if env.upper is None else bool(abs(norm - env.upper) <= 1e-9 * max(1.0, env.upper)),
     }
     _report(args, payload)
     return EXIT_OK

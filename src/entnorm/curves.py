@@ -59,8 +59,8 @@ def clamp_entropy(n: int, h, name: str = "h"):
     return _clamp(h, 0.0, math.log(n), _H_SLACK, name, f"[0, ln {n}]")
 
 
-def root(f, lo, hi, rising: bool = True, f_lo=None, f_hi=None):
-    """Where the monotone f crosses from negative to non-negative in [lo, hi]; if not rising, positive to non-positive.
+def root(f, lo, hi, f_lo=None, f_hi=None):
+    """Where the rising f crosses from negative to non-negative in [lo, hi]; a caller negates a falling f.
 
     f_lo and f_hi are f at the ends, where the caller has them. f may map an
     array to an array: then each element's bracket is halved _HALVINGS
@@ -76,29 +76,28 @@ def root(f, lo, hi, rising: bool = True, f_lo=None, f_hi=None):
     if is_array(f_lo):
         for _ in range(_HALVINGS):
             mid = 0.5 * (lo + hi)
-            below = f(mid) < 0.0 if rising else f(mid) > 0.0
+            below = f(mid) < 0.0
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         return 0.5 * (lo + hi)
-    sign = 1.0 if rising else -1.0
-    g_lo, g_hi = sign * f_lo, sign * (f(hi) if f_hi is None else f_hi)
-    if g_lo == 0.0 or g_hi == 0.0:
-        return lo if g_lo == 0.0 else hi
+    f_hi = f(hi) if f_hi is None else f_hi
+    if f_lo == 0.0 or f_hi == 0.0:
+        return lo if f_lo == 0.0 else hi
     floor, budget = (hi - lo) * 2.0**-_HALVINGS, (hi - lo) * 2.0**_HALVINGS
     ref, kept, tries = hi - lo, 0, 0  # width to halve, end the last false-position step moved, steps since ref
     while hi - lo > max(floor, math.ulp(0.5 * (lo + hi))):
         budget *= 0.5  # a bracket wider than this needs every step left to be a halving
         secant = tries < 2 and hi - lo <= budget
-        x = lo + (hi - lo) * (g_lo / (g_lo - g_hi)) if secant else 0.5 * (lo + hi)
-        x = x if lo < x < hi else 0.5 * (lo + hi)  # a NaN or inf g makes the step a halving
-        g = sign * f(x)
+        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi)) if secant else 0.5 * (lo + hi)
+        x = x if lo < x < hi else 0.5 * (lo + hi)  # a NaN or inf f makes the step a halving
+        g = f(x)
         if g == 0.0:
             return x
         if g < 0.0:
-            lo, g_lo = x, g
-            g_hi *= 0.5 if secant and kept < 0 else 1.0  # Illinois: halve the end that two steps kept
+            lo, f_lo = x, g
+            f_hi *= 0.5 if secant and kept < 0 else 1.0  # Illinois: halve the end that two steps kept
         else:
-            hi, g_hi = x, g
-            g_lo *= 0.5 if secant and kept > 0 else 1.0
+            hi, f_hi = x, g
+            f_lo *= 0.5 if secant and kept > 0 else 1.0
         kept = (-1 if g < 0.0 else 1) if secant else kept
         tries = tries + 1 if hi - lo > 0.5 * ref else 0
         ref = ref if tries else hi - lo
@@ -120,7 +119,8 @@ def _bracketed_root(f, fixed: float, probes, n: int, alpha: float, what: str) ->
         f_probe = f(probe)
         if (f_probe < 0.0) != (f_fixed < 0.0):  # the signs themselves: a product of the two can underflow
             lo, hi, f_lo, f_hi = (probe, fixed, f_probe, f_fixed) if probe < fixed else (fixed, probe, f_fixed, f_probe)
-            return root(f, lo, hi, f_lo < 0.0, f_lo, f_hi)
+            s = 1.0 if f_lo < 0.0 else -1.0  # root needs f rising
+            return root(lambda p: s * f(p), lo, hi, s * f_lo, s * f_hi)
     raise DomainError(
         f"unsupported order alpha={alpha!r} for n={n}: no sign change of {what} brackets the root in double "
         f"precision, f({fixed!r})={f_fixed!r}, f({probe!r})={f_probe!r}"

@@ -183,7 +183,7 @@ def _upper_screen(n: int, alpha: float):
     """
     nodes = np.linspace(0.0, math.log(n), _NODES)
     values = bounds._envelope_upper_vec(n, alpha, nodes)
-    margin = 1e-12 * max(1.0, float(np.abs(values).max()))
+    margin = 1e-12 * max(1.0, curves.norm_uniform(n, alpha))
     if not (np.diff(values, 2) <= margin).all():  # NaN fails too
         margin = math.inf  # every sample goes to the exact kernel
 

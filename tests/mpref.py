@@ -1,8 +1,10 @@
-"""A 50-digit mpmath reference for the tests: the peaked curve and its two roots.
+"""A 50-digit mpmath reference for the tests: norms and entropy, the peaked curve, its two roots and the lower envelope.
 
 Each root is bracketed and then bisected, never polished by Newton-type
 steps, so a reference value cannot wander off to another root or fail to
-converge where the double-precision solve it checks succeeded.
+converge where the double-precision solve it checks succeeded. The roots
+and the envelope set DPS digits themselves; the plain formulas work at
+the caller's precision.
 """
 
 from __future__ import annotations
@@ -74,3 +76,27 @@ def tangent_p(n: int, alpha: float):
             return dnorm * (mp.log(n) - entropy_peaked(n, p)) - dh * (u - norm)
 
         return bisect(residual, mp.mpf("1e-60"), hi)
+
+
+def norm(terms, a):
+    """(sum w v^a)^(1/a) over the (weight, value) pairs with v > 0; the largest such v at a = inf."""
+    if a == mp.inf:
+        return max(mp.mpf(v) for w, v in terms if v > 0)
+    a = mp.mpf(a)
+    return mp.fsum(w * mp.mpf(v) ** a for w, v in terms if v > 0) ** (1 / a)
+
+
+def entropy(row):
+    """-sum v ln v over the entries v > 0."""
+    return -mp.fsum(mp.mpf(v) * mp.log(v) for v in row if v > 0)
+
+
+def envelope_lower(n: int, alpha: float, h: float):
+    """The chord through (ln m, m^x) and (ln(m+1), (m+1)^x) at h, x = 1/alpha - 1, m = floor(e^h); n^x from ln n."""
+    with mp.workdps(DPS):
+        h, x = mp.mpf(h), 1 / mp.mpf(alpha) - 1
+        m = int(mp.floor(mp.exp(h)))
+        if m >= n:
+            return mp.mpf(n) ** x
+        lam = (mp.log(m + 1) - h) / (mp.log(m + 1) - mp.log(m))
+        return lam * mp.mpf(m) ** x + (1 - lam) * mp.mpf(m + 1) ** x

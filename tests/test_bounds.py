@@ -7,6 +7,7 @@ import pytest
 import mpref
 from entnorm.bounds import (
     BoundEnvelope,
+    _lower_chord,
     cond_entropy_range_for_norm,
     entropy_range_for_norm,
     envelope,
@@ -62,6 +63,25 @@ class TestLowerEnvelope:
     def test_order_one_rejected(self):
         with pytest.raises(DomainError):
             envelope_lower(5, 1.0, 0.5)
+
+    @pytest.mark.parametrize("n", [3, 8, 100, 10**4])
+    @pytest.mark.parametrize("alpha", [0.5, 0.7, 2.0])
+    def test_just_below_a_vertex_matches_mpmath(self, n, alpha):
+        # h just below ln m lies on the segment ending at m, not on the vertex m
+        for m in sorted({2, max(2, n // 2), n}):
+            for d in (1e-15, 1e-13, 1e-12, 1e-11, 1e-10):
+                h = LN(m) - d
+                want = mpref.envelope_lower(n, alpha, h)
+                for got in (envelope_lower(n, alpha, h), envelope_lower(n, alpha, np.array([h]))[0]):
+                    assert abs(got - want) <= 2e-15 * want, (m, d)
+
+    def test_log_m_selects_segment_m(self):
+        # e^(ln m) can round below m: the nudge must still lift it onto the segment that starts at m
+        n = 10**6
+        ms = range(2, n + 1)
+        assert all(_lower_chord(n, LN(m))[0] == m for m in ms)
+        h = np.array([LN(m) for m in ms])
+        assert (_lower_chord(n, h)[0] == np.arange(2, n + 1)).all()
 
     def test_inf_order(self):
         assert envelope_lower(4, math.inf, LN(3)) == pytest.approx(1 / 3, rel=1e-12)
@@ -175,8 +195,14 @@ class TestEnvelope:
         assert env.upper == pytest.approx(3 ** -0.5, rel=1e-12)
 
     def test_inverted_pair_rejected(self):
-        with pytest.raises(DomainError):
-            BoundEnvelope(lower=2.0, upper=1.0)
+        for lower, upper in ((2.0, 1.0), (1.0 + 2e-12, 1.0), (1e30 * (1 + 2e-12), 1e30)):
+            with pytest.raises(DomainError, match="envelope inverted"):
+                BoundEnvelope(lower=lower, upper=upper)
+
+    def test_rounding_above_a_large_upper_is_no_inversion(self):
+        # the slack is 1e-12 of max(1, upper): 1e-12 absolute is less than one ulp of any norm >= 8192
+        assert BoundEnvelope(lower=1e30 * (1 + 5e-13), upper=1e30).lower > 1e30
+        assert BoundEnvelope(lower=1.0 + 5e-13, upper=1.0).upper == 1.0
 
     @pytest.mark.parametrize("alpha", [0.5, 0.8, 2.0, 4.0])
     def test_curve_samples_inside(self, alpha):
@@ -277,6 +303,11 @@ class TestSandwich:
             lo, hi = sandwich_norm(np.array([1.0, 0.0, 0.0]), alpha)
             assert lo == pytest.approx(1.0, abs=1e-12)
             assert hi == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_symbol_points(self):
+        assert sandwich_norm([1.0], 2.0) == (1.0, 1.0)
+        lo, hi = sandwich_norm(np.ones((3, 2, 1)), 0.5)
+        assert lo.shape == hi.shape == (3, 2) and (lo == 1.0).all() and (hi == 1.0).all()
 
     def test_strict_for_generic_point(self):
         pv = np.array([0.5, 0.3, 0.2])

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from entnorm.cli import main
 from entnorm.measures import cond_shannon, expected_alpha_norm
-from entnorm.oracle import witness_min
+from entnorm.oracle import witness_max, witness_min
 
 LN = math.log
 
@@ -75,6 +75,24 @@ class TestEval:
     def test_e0_range_lower_null_large_rho(self, capsys):
         code, out, _ = run(capsys, "eval", "--n", "5", "--rho", "2", "--i", "1.0")
         assert json.loads(out)["e0_lower"] is None
+
+    @pytest.mark.parametrize("argv", [
+        "--n 3 --alpha 0.5 --h 1.098612288667011",
+        "--n 8 --alpha 0.5 --h 2.0794415416777565",
+        "--n 10000 --alpha 0.5 --h 9.210340371976175",
+        "--n 100000 --alpha 0.5 --i 1e-15",
+        "--n 2 --alpha 0.005 --h 0.6931471805599453",
+        "--n 2 --alpha 0.01 --N 6.338253001141148e+29",  # one ulp above ||u_2||
+    ])
+    def test_rounding_in_large_norms_answers(self, capsys, argv):
+        # each comparison of norms tolerates its factor times max(1, the norm it is compared against)
+        code, out, err = run(capsys, "eval", *argv.split())
+        assert code == 0 and err == "" and json.loads(out)["n"] == int(argv.split()[1])
+
+    @pytest.mark.parametrize("norm", ["0.9999999", "6.34e29"])
+    def test_norm_outside_range_refused(self, capsys, norm):
+        code, out, err = run(capsys, "eval", "--n", "2", "--alpha", "0.01", "--N", norm)
+        assert code == 1 and out == "" and "outside attainable range" in err
 
     def test_i_needs_alpha_or_rho(self, capsys):
         code, _, err = run(capsys, "eval", "--n", "5", "--i", "1.0")
@@ -240,6 +258,15 @@ class TestMeasures:
         assert payload["h"] == pytest.approx(cond_shannon(j), abs=1e-12)
         assert payload["expected_norm"] == pytest.approx(expected_alpha_norm(j, 2.0), abs=1e-12)
 
+    @pytest.mark.parametrize("h", [0.05, 0.4, 0.69])
+    def test_binary_small_order_witnesses_on_their_boundary(self, capsys, tmp_path, h):
+        # norms near 1e29 agree to 3e-15 relative, far above an absolute 1e-9
+        for joint, flag in ((witness_min(2, h), "on_lower_boundary"), (witness_max(2, 0.01, h), "on_upper_boundary")):
+            path = tmp_path / "joint.json"
+            path.write_text(json.dumps({"py": joint.py.tolist(), "rows": joint.rows.tolist()}))
+            code, out, _ = run(capsys, "measures", "--alpha", "0.01", "--input", str(path))
+            assert code == 0 and json.loads(out)[flag] is True
+
     def test_uniform_rows(self, capsys, tmp_path):
         path = tmp_path / "joint.json"
         path.write_text(json.dumps({"py": [0.5, 0.5], "rows": [[0.25] * 4, [0.25] * 4]}))
@@ -299,6 +326,16 @@ class TestMeasures:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "measures", "--alpha", "2", "--input", str(tmp_path / "gone.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("data, message", [
+        ([{"py": [1.0], "rows": [[1.0]]}], "top level must be a JSON object"),
+        ({"py": [1.0]}, "missing required field(s) ['rows']"),
+    ])
+    def test_wrong_shape_of_file_exits_two(self, capsys, tmp_path, data, message):
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "measures", "--alpha", "2", "--input", str(path))
+        assert code == 2 and out == "" and message in err and err.count("\n") == 1
 
 
 class TestChannel:

@@ -59,6 +59,8 @@ class TestEntropyAlongCurves:
             entropy_peaked(3, 0.4)
         with pytest.raises(DomainError):
             entropy_stepped(3, 0.2)
+        with pytest.raises(DomainError, match="outside"):
+            entropy_peaked(3, np.array([0.1, 0.5]))  # one entry out refuses the array
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_monotone(self, n):
@@ -137,6 +139,8 @@ class TestNormDerivative:
             dnorm_dh_peaked(3, 1 / 3, 2.0)
         with pytest.raises(DomainError):
             dnorm_dh_peaked(3, 0.1, 1.0)
+        with pytest.raises(DomainError, match="alpha=0.0001"):
+            dnorm_dh_peaked(2, 0.25, 1e-4)  # the slope, about 2^10000, is no double
 
 
 class TestCurvatureSign:
@@ -157,6 +161,10 @@ class TestCurvatureSign:
     def test_pole_raises(self):
         with pytest.raises(DomainError):
             curvature_sign(8, 0.125, 2.0)  # p = 1/n is exactly representable here
+
+    def test_outside_the_curve_raises(self):
+        with pytest.raises(DomainError, match="outside"):
+            curvature_sign(3, 0.6, 2.0)
 
     def test_sign_change_bracket(self):
         # verified against second finite differences of norm vs entropy
@@ -304,11 +312,6 @@ class TestExtremeOrders:
         with mp.workdps(50):
             yield
 
-    @staticmethod
-    def mp_norm(terms, a):
-        a = mp.mpf(a)
-        return mp.fsum(w * mp.mpf(v) ** a for w, v in terms if v > 0) ** (1 / a)
-
     def check(self, value, ref):
         """value() within 1e-13 of ref, or DomainError where ref is no finite double."""
         if abs(ref) > self.DBL_MAX:
@@ -324,7 +327,7 @@ class TestExtremeOrders:
         for p in (1e-300, 1e-12, 0.3 / n, 0.9 / n):
             pm = mp.mpf(p)
             q = 1 - (n - 1) * pm
-            ref = self.mp_norm([(1, q), (n - 1, pm)], alpha)
+            ref = mpref.norm([(1, q), (n - 1, pm)], alpha)
             self.check(lambda: norm_peaked(n, p, alpha), ref)
             slope = ref ** (1 - a) * (pm ** (a - 1) - q ** (a - 1)) / (mp.log(q) - mp.log(pm))
             self.check(lambda: dnorm_dh_peaked(n, p, alpha), slope)
@@ -332,11 +335,11 @@ class TestExtremeOrders:
             if p >= 1.0 / n:
                 pm = mp.mpf(p)
                 k = int(mp.floor(1 / pm + mp.mpf("1e-9")))
-                self.check(lambda: norm_stepped(n, p, alpha), self.mp_norm([(k, pm), (1, 1 - k * pm)], alpha))
+                self.check(lambda: norm_stepped(n, p, alpha), mpref.norm([(k, pm), (1, 1 - k * pm)], alpha))
         self.check(lambda: norm_uniform(n, alpha), mp.mpf(n) ** (1 / a - 1))
         v = np.random.default_rng(n).standard_exponential(n)
         v /= v.sum()
-        self.check(lambda: alpha_norm(v, alpha), self.mp_norm([(1, float(x)) for x in v], alpha))
+        self.check(lambda: alpha_norm(v, alpha), mpref.norm([(1, float(x)) for x in v], alpha))
 
     @pytest.mark.parametrize("n, alpha", [(8, 1000.0), (5000, 500.0)])
     def test_large_order_tangent_point(self, n, alpha):
@@ -363,9 +366,9 @@ class TestRoot:
     def test_float_solves_within_twice_the_halvings(self, monkeypatch):
         evals = []
 
-        def counting_root(f, lo, hi, rising=True, f_lo=None, f_hi=None):
+        def counting_root(f, lo, hi, f_lo=None, f_hi=None):
             g, calls = self.counted(f)
-            p = root(g, lo, hi, rising, f_lo, f_hi)
+            p = root(g, lo, hi, f_lo, f_hi)
             evals.append(len(calls) + (f_lo is not None) + (f_hi is not None))
             return p
 
@@ -387,11 +390,15 @@ class TestRoot:
 
     @pytest.mark.parametrize("rising", [True, False])
     def test_exact_zero_is_returned(self, rising):
-        s = 1.0 if rising else -1.0
-        assert root(lambda x: s * x, 0.0, 1.0, rising) == 0.0
-        assert root(lambda x: s * (x - 1.0), 0.0, 1.0, rising) == 1.0
-        f, calls = self.counted(lambda x: s * (x - 0.25))
-        assert root(f, 0.0, 1.0, rising) == 0.25  # the first false-position step lands on it
+        if rising:
+            assert root(lambda x: x, 0.0, 1.0) == 0.0
+            assert root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+            f, calls = self.counted(lambda x: x - 0.25)
+            assert root(f, 0.0, 1.0) == 0.25  # the first false-position step lands on it
+        else:  # _bracketed_root negates a falling f for root
+            assert curves._bracketed_root(lambda p: -p, 0.0, (1.0,), 3, 2.0, "f") == 0.0
+            f, calls = self.counted(lambda p: 0.25 - p)
+            assert curves._bracketed_root(f, 0.0, (1.0,), 3, 2.0, "f") == 0.25
         assert len(calls) == 3
 
     def test_float_and_array_agree(self):

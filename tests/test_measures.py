@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import mpref
 from entnorm.bounds import envelope_upper_half, norm_uniform
 from entnorm.measures import (
     Channel,
@@ -335,17 +336,8 @@ class TestHighPrecisionReference:
     ORDERS = (0.5, 0.9, 2.0, 40.0, math.inf)
 
     @staticmethod
-    def ref_norm(row, alpha):
-        if alpha == math.inf:
-            return max(row)
-        return mpmath.fsum(v**alpha for v in row if v > 0) ** (1 / mpmath.mpf(alpha))
-
-    @staticmethod
-    def ref_entropy(row):
-        return -mpmath.fsum(v * mpmath.log(v) for v in row if v > 0)
-
-    def ref_renyi(self, py, rows, alpha):
-        e = mpmath.fsum(w * self.ref_norm(r, alpha) for w, r in zip(py, rows))
+    def ref_renyi(py, rows, alpha):
+        e = mpmath.fsum(w * mpref.norm([(1, v) for v in r], alpha) for w, r in zip(py, rows))
         scale = -1 if alpha == math.inf else mpmath.mpf(alpha) / (1 - mpmath.mpf(alpha))
         return e, scale * mpmath.log(e)
 
@@ -360,7 +352,7 @@ class TestHighPrecisionReference:
                 for _ in range(4):
                     j = JointDist(py=edge_rows(rng, 1, y)[0], rows=edge_rows(rng, y, n))
                     py, rows = self.mp(j.py)[0], self.mp(j.rows)
-                    h = mpmath.fsum(w * self.ref_entropy(r) for w, r in zip(py, rows))
+                    h = mpmath.fsum(w * mpref.entropy(r) for w, r in zip(py, rows))
                     assert cond_shannon(j) == pytest.approx(float(h), rel=1e-13)
                     assert cond_renyi(j, 1.0) == pytest.approx(float(h), rel=1e-13)
                     for alpha in self.ORDERS:

@@ -44,6 +44,14 @@ class TestWitnessMin:
         assert j.py.shape == (1,)  # degenerate single-outcome joint
         assert cond_shannon(j) == pytest.approx(LN(5), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 8, 100, 10**4])
+    def test_entropy_just_below_a_vertex(self, n):
+        # the mixing weight for h just below ln m is just below 1, not 1
+        for m in sorted({2, max(2, n // 2), n}):
+            for d in (1e-15, 1e-13, 1e-12, 1e-11, 1e-10):
+                h = LN(m) - d
+                assert abs(cond_shannon(witness_min(n, h)) - h) <= 4e-15, (m, d)
+
     def test_achieves_lower_for_every_order(self):
         h = 1.3
         j = witness_min(6, h)

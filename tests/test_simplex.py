@@ -52,6 +52,8 @@ class TestConstructors:
             make_peaked(3, -1e-6)
         # within tolerance: clamped, not rejected
         make_peaked(3, 1 / 3 + 1e-13)
+        with pytest.raises(DomainError, match="n >= 2"):
+            make_peaked(1, 0.0)
 
     def test_stepped(self):
         assert make_stepped(4, 1.0).tolist() == [1.0, 0.0, 0.0, 0.0]
@@ -63,6 +65,8 @@ class TestConstructors:
             make_stepped(4, 0.1)
         with pytest.raises(DomainError):
             make_stepped(4, 1.1)
+        with pytest.raises(DomainError, match="n >= 2"):
+            make_stepped(1, 1.0)
 
     def test_stepped_exact_reciprocals(self):
         # floor(1/p) must not round down at representable 1/m
@@ -85,6 +89,12 @@ class TestConstructors:
             probabilities((), 1, "values")
         with pytest.raises(DomainError, match="numbers"):
             probabilities(("0.5", "0.5"), 1, "values")  # numpy would convert the strings
+
+    def test_non_sequence_rows_name_the_field_only(self):
+        from entnorm.measures import JointDist
+
+        with pytest.raises(DomainError, match="^field 'rows': entries must be numbers"):
+            JointDist(py=[1.0], rows=None)  # no rows to iterate, so no row index
 
 
 class TestEntropy:
