@@ -113,12 +113,14 @@ def cmd_curve(args) -> int:
         raise UsageError(f"--grid must be from 2 to {_MAX_GRID} (2^20)")
     curves._check_n(n)
     h = math.log(n) * np.arange(args.grid) / (args.grid - 1)
+    # first: a tangent point that doubles cannot bracket is refused here, before the grid is inverted
+    upper = bounds.envelope_upper(n, alpha, h) if bounds.has_upper_envelope(n, alpha) else None
     cols = {
         "h": h / _LN2 if args.bits else h,  # the one array entry, so scaled here and not by _report
         "norm_peaked": curves.norm_peaked(n, curves.inv_entropy_peaked(n, h), alpha),
         "norm_stepped": curves.norm_stepped(n, curves.inv_entropy_stepped(n, h), alpha),
         "lower": bounds.envelope_lower(n, alpha, h),
-        "upper": bounds.envelope_upper(n, alpha, h) if bounds.has_upper_envelope(n, alpha) else None,
+        "upper": upper,
     }
     cols = {k: None if v is None else v.tolist() for k, v in cols.items()}
     if args.format == "csv":

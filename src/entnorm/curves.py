@@ -182,16 +182,16 @@ def entropy_stepped(n: int, p):
 
 
 def norm_peaked(n: int, p, alpha: float):
-    """alpha-norm of the peaked vector, ((n-1)p^alpha + (1-(n-1)p)^alpha)^(1/alpha)."""
+    """alpha-norm of the peaked vector, ((n-1)p^alpha + (1-(n-1)p)^alpha)^(1/alpha); norm_uniform's at p = 1/n."""
     _check_n(n)
-    p = _clamp(p, 0.0, 1.0 / n, math.inf, "p", f"[0, 1/{n}]")
-    return _norm(n, alpha, (1.0 - (n - 1) * p, p), (1.0, n - 1))[0]
+    p = _clamp(p, 0.0, 1.0 / n, SUM_TOL, "p", f"[0, 1/{n}]")
+    return _where(p == 1.0 / n, norm_uniform(n, alpha), _norm(n, alpha, (1.0 - (n - 1) * p, p), (1.0, n - 1))[0])
 
 
 def norm_stepped(n: int, p, alpha: float):
     """alpha-norm of the stepped vector: floor(1/p) masses p and the remainder."""
     _check_n(n)
-    p = _clamp(p, 1.0 / n, 1.0, math.inf, "p", f"[1/{n}, 1]")
+    p = _clamp(p, 1.0 / n, 1.0, SUM_TOL, "p", f"[1/{n}, 1]")
     k = step_count(p)
     return _norm(n, alpha, (p, _clip(1.0 - k * p, 0.0, 1.0)), (k, 1.0))[0]
 

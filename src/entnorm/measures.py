@@ -182,14 +182,14 @@ def mutual_range_for_mutual(n: int, alpha: float, i: float) -> tuple[float | Non
     Under uniform input I_alpha = ln n - H_alpha(X|Y) and i = ln n - H, so
     the Renyi range at h = ln n - i reflects into (lo, hi) with the ends
     swapped. When the upper norm envelope is missing (alpha < 1/2, n >= 3)
-    the surviving bound is the upper one here.
+    the surviving bound is the upper one here. Both ends are clipped into
+    [0, ln n], where every mutual information of a uniform input lies.
     """
     i = curves.clamp_entropy(n, i, name="i")
     lnn = math.log(n)
-    h = lnn - i
-    r_lo, r_hi = renyi_range_for_entropy(n, alpha, h)
-    hi = lnn - r_lo
-    lo = None if r_hi is None else lnn - r_hi
+    r_lo, r_hi = renyi_range_for_entropy(n, alpha, lnn - i)
+    hi = curves._clip(lnn - r_lo, 0.0, lnn)
+    lo = None if r_hi is None else curves._clip(lnn - r_hi, 0.0, lnn)
     return (lo, hi)
 
 
@@ -198,7 +198,7 @@ def e0_range_for_mutual(n: int, rho: float, i: float) -> tuple[float | None, flo
 
     E0 = rho * I_(1/(1+rho)); the bound pair comes from the order-1/(1+rho)
     mutual-information range. The lower bound exists for rho in (-1, 1]
-    (where 1/(1+rho) >= 1/2) and is None for rho > 1.
+    (where 1/(1+rho) >= 1/2) and is None for rho > 1 unless n = 2.
     """
     _check_rho(rho)
     if rho == 0.0:

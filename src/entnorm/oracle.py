@@ -126,45 +126,38 @@ def _chunk_measures(
     return np.clip((py * ent).sum(axis=1), 0.0, math.log(n)), (py * nrm).sum(axis=1)
 
 
-def _tally(n: int, alpha: float, samples: int, seed: int, width: int, excesses) -> VerifyReport:
-    """Count excesses above 1e-9 of the norms' scale over fixed chunks of the samples.
-
-    The scale, max(1, ||u_n||_alpha), bounds every alpha-norm on n symbols:
-    below order 1 the norms reach n^(1/alpha - 1), where rounding alone
-    exceeds an absolute 1e-9. Each sample takes width floats, and a chunk
-    holds at most _CHUNK samples and _BUDGET floats. excesses(count,
-    chunk_index) gives the lower and upper excesses of one chunk (the upper
-    may be None). Chunks draw from sub-seeds derived from (seed, chunk), so
-    the report does not depend on how they are scheduled.
-    """
+def _chunk_plan(samples: int, width: int) -> int:
+    """Samples per chunk: at most _CHUNK samples and _BUDGET floats, each sample taking width floats."""
     if samples < 1:
         raise DomainError(f"samples={samples} must be >= 1")
     chunk = min(_CHUNK, _BUDGET // width)
     if chunk < 1:
         raise DomainError(f"a sample of {width} floats exceeds the {_BUDGET}-float chunk budget")
+    return chunk
+
+
+def _tally(samples: int, seed: int, chunk: int, slack: float, excesses) -> VerifyReport:
+    """Count excesses above slack over chunks of chunk samples.
+
+    excesses(count, chunk_index) gives the lower and upper excesses of one
+    chunk (the upper may be None). Chunks draw from sub-seeds derived from
+    (seed, chunk), so the report does not depend on how they are scheduled.
+    """
     bad = [0, 0]
     max_excess = 0.0
-    slack = 0.0
     for chunk_index, done in enumerate(range(0, samples, chunk)):
         sides = excesses(min(chunk, samples - done), chunk_index)
-        # after the first chunk's kernels: what they refuse keeps its message
-        slack = slack or 1e-9 * max(1.0, curves.norm_uniform(n, alpha))
         for side, excess in enumerate(sides):
             if excess is not None:
                 if not np.isfinite(excess).all():  # NaN > slack is False: it would pass silently
                     raise NumericalError(f"non-finite envelope excess in chunk {chunk_index} of seed {seed}")
                 bad[side] += int((excess > slack).sum())
                 max_excess = max(max_excess, float(excess.max()))
-    return VerifyReport(
-        samples=samples,
-        violations_lower=bad[0],
-        violations_upper=bad[1],
-        max_excess=max_excess,
-        seed=seed,
-    )
+    return VerifyReport(samples=samples, violations_lower=bad[0], violations_upper=bad[1],
+                        max_excess=max_excess, seed=seed)
 
 
-def _upper_screen(n: int, alpha: float):
+def _upper_screen(n: int, alpha: float, scale: float):
     """(h, norm) -> upper excess, with the exact kernel only where the excess may be >= 0.
 
     U is concave in h, so the chord through U at _NODES nodes on [0, ln n]
@@ -183,7 +176,7 @@ def _upper_screen(n: int, alpha: float):
     """
     nodes = np.linspace(0.0, math.log(n), _NODES)
     values = bounds._envelope_upper_vec(n, alpha, nodes)
-    margin = 1e-12 * max(1.0, curves.norm_uniform(n, alpha))
+    margin = 1e-12 * scale
     if not (np.diff(values, 2) <= margin).all():  # NaN fails too
         margin = math.inf  # every sample goes to the exact kernel
 
@@ -199,25 +192,24 @@ def _upper_screen(n: int, alpha: float):
 
 
 def verify_envelope(n: int, alpha: float, samples: int, seed: int, y_size: int = 4) -> VerifyReport:
-    """Sample random joints and count envelope violations at _tally's scaled slack.
+    """Sample random joints and count envelope violations above 1e-9 of the norms' scale.
 
-    The upper envelope is checked only where it exists for (n, alpha).
+    The scale, max(1, ||u_n||_alpha), bounds every alpha-norm on n symbols:
+    below order 1 the norms reach n^(1/alpha - 1), where rounding alone
+    exceeds an absolute 1e-9. The upper envelope is checked only where it
+    exists for (n, alpha). Every refusal comes before the first joint is drawn.
     """
     _check_sampling(n, y_size, seed)
-    check_upper = bounds.has_upper_envelope(n, alpha)
-    screen = None
+    chunk = _chunk_plan(samples, y_size * n)
+    scale = max(1.0, curves.norm_uniform(n, alpha))
+    curves._check_order(alpha, finite=False)
+    screen = _upper_screen(n, alpha, scale) if bounds.has_upper_envelope(n, alpha) else None
 
     def excesses(count: int, chunk_index: int):
-        nonlocal screen
         h, norm = _chunk_measures(n, y_size, alpha, count, seed, chunk_index)
-        excess_lo = bounds._envelope_lower_vec(n, alpha, h) - norm
-        if not check_upper:
-            return excess_lo, None
-        # built at the first chunk, after _tally's checks and the lower kernel: what they refuse keeps its message
-        screen = screen or _upper_screen(n, alpha)
-        return excess_lo, screen(h, norm)
+        return bounds._envelope_lower_vec(n, alpha, h) - norm, None if screen is None else screen(h, norm)
 
-    return _tally(n, alpha, samples, seed, y_size * n, excesses)
+    return _tally(samples, seed, chunk, 1e-9 * scale, excesses)
 
 
 def verify_sandwich(n: int, alpha: float, samples: int, seed: int) -> VerifyReport:
@@ -225,9 +217,11 @@ def verify_sandwich(n: int, alpha: float, samples: int, seed: int) -> VerifyRepo
 
     For each sampled point, the stepped-curve norm at its entropy must not
     exceed its alpha-norm, and the peaked-curve norm must not fall below it
-    (at _tally's scaled slack). Chunked and sub-seeded like verify_envelope.
+    (at verify_envelope's scaled slack). Chunked and sub-seeded like verify_envelope.
     """
     _check_sampling(n, 1, seed)
+    chunk = _chunk_plan(samples, n)
+    slack = 1e-9 * max(1.0, curves.norm_uniform(n, alpha))
 
     def excesses(count: int, chunk_index: int):
         pts = _sample_simplex(_chunk_rng(seed, chunk_index), count, n)
@@ -235,7 +229,7 @@ def verify_sandwich(n: int, alpha: float, samples: int, seed: int) -> VerifyRepo
         x = alpha_norm(pts, alpha)
         return lo - x, x - hi
 
-    return _tally(n, alpha, samples, seed, n, excesses)
+    return _tally(samples, seed, chunk, slack, excesses)
 
 
 @lru_cache(maxsize=64)

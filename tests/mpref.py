@@ -1,4 +1,4 @@
-"""A 50-digit mpmath reference for the tests: norms and entropy, the peaked curve, its two roots and the lower envelope.
+"""A 50-digit mpmath reference for the tests: norms and entropy, the peaked curve, its two roots and both envelopes.
 
 Each root is bracketed and then bisected, never polished by Newton-type
 steps, so a reference value cannot wander off to another root or fail to
@@ -8,6 +8,8 @@ the caller's precision.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -48,6 +50,7 @@ def curvature_sign(n, p, a):
     return (a - 1) + ((n - 1) + z**a) * mp.expm1((1 - a) * logz) / (((n - 1) + z) * logz)
 
 
+@lru_cache(maxsize=None)
 def inflection_p(n: int, alpha: float):
     """The zero of curvature_sign on (1/(n(n-1)), 1/n), bisected up to the first gap below 1/n with the other sign."""
     with mp.workdps(DPS):
@@ -61,6 +64,7 @@ def inflection_p(n: int, alpha: float):
         raise AssertionError(f"no sign change of the curvature below 1/{n} at order {alpha}")
 
 
+@lru_cache(maxsize=None)
 def tangent_p(n: int, alpha: float):
     """The tangency root N'(p)(ln n - H(p)) = H'(p)(u - N(p)), u = n^(1/alpha - 1), on (0, inflection_p)."""
     with mp.workdps(DPS):
@@ -100,3 +104,21 @@ def envelope_lower(n: int, alpha: float, h: float):
             return mp.mpf(n) ** x
         lam = (mp.log(m + 1) - h) / (mp.log(m + 1) - mp.log(m))
         return lam * mp.mpf(m) ** x + (1 - lam) * mp.mpf(m + 1) ** x
+
+
+def envelope_upper(n: int, alpha: float, h):
+    """The peaked curve's norm at its bisected entropy inverse up to h* = H(p*), then the chord to (ln n, n^x).
+
+    p* = 1/2 at n = 2, where the chord is empty; h at or above ln n gives n^x, x = 1/alpha - 1.
+    """
+    with mp.workdps(DPS):
+        p_star = mp.mpf(1) / 2 if n == 2 else tangent_p(n, alpha)
+        n, a, h = mp.mpf(n), mp.mpf(alpha), mp.mpf(h)
+        h_star, top = entropy_peaked(n, p_star), n ** (1 / a - 1)
+        if h >= mp.log(n):
+            return top
+        if h > h_star:
+            lam = (mp.log(n) - h) / (mp.log(n) - h_star)
+            return lam * norm_peaked(n, p_star, a) + (1 - lam) * top
+        p = bisect(lambda p: entropy_peaked(n, p) - h, mp.mpf("1e-400"), p_star) if h > 0 else mp.mpf(0)
+        return norm_peaked(n, p, a)

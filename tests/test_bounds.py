@@ -199,6 +199,12 @@ class TestEnvelope:
             with pytest.raises(DomainError, match="envelope inverted"):
                 BoundEnvelope(lower=lower, upper=upper)
 
+    @pytest.mark.parametrize("alpha", [0.001, 0.002, 0.005, 0.3, 2.0])
+    def test_binary_envelopes_meet_at_ln_2(self, alpha):
+        # the upper end was the peaked power sum at p = 1/2: 8.034690221294871e+59 under 8.034690221294951e+59 at 0.005
+        env = envelope(2, alpha, LN(2))
+        assert env.lower == env.upper == norm_uniform(2, alpha)
+
     def test_rounding_above_a_large_upper_is_no_inversion(self):
         # the slack is 1e-12 of max(1, upper): 1e-12 absolute is less than one ulp of any norm >= 8192
         assert BoundEnvelope(lower=1e30 * (1 + 5e-13), upper=1e30).lower > 1e30

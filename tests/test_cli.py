@@ -244,6 +244,46 @@ class TestVerify:
         assert json.loads(out)["violations_lower"] == 1
 
 
+_BRACKET = ("unsupported order alpha=10000000000.0 for n=3: no sign change of the tangency residual brackets the root "
+            "in double precision, f(0.333333333321826)=4.277023180065953e-12, "
+            "f(1.0000000000000004e-34)=0.6526336885500562")
+
+
+class TestRefusalsBeforeWork:
+    """Each refusal keeps its message, and none waits for a drawn joint or an inverted grid."""
+
+    @pytest.mark.parametrize("argv, message", [
+        ("--n 1 --alpha 2", "need n >= 2 and y_size >= 1, got n=1, y_size=4"),
+        ("--n 8 --alpha 2 --y-size 0", "need n >= 2 and y_size >= 1, got n=8, y_size=0"),
+        ("--n 8 --alpha 2 --seed -1", "seed=-1 must be >= 0"),
+        ("--n 8 --alpha 2 --samples 0", "samples=0 must be >= 1"),
+        ("--n 8 --alpha 2 --y-size 10000000", "a sample of 80000000 floats exceeds the 16777216-float chunk budget"),
+        ("--n 8 --alpha 0", "alpha=0.0 must be positive"),
+        ("--n 8 --alpha -1", "alpha=-1.0 must be positive"),
+        ("--n 8 --alpha nan", "alpha=nan must be positive"),
+        ("--n 8 --alpha 1", "unsupported order alpha=1.0: the envelopes need a positive alpha != 1"),
+        ("--n 2 --alpha 1e-4", "unsupported order alpha=0.0001: a value at this order is not a finite double"),
+        ("--n 3 --alpha 1e10 --samples 1000000", _BRACKET),
+    ])
+    def test_verify_refuses_before_drawing(self, capsys, monkeypatch, argv, message):
+        def drawn(*args):
+            raise AssertionError("drew a joint")
+
+        monkeypatch.setattr("entnorm.oracle._chunk_measures", drawn)
+        monkeypatch.setattr("entnorm.oracle._sample_simplex", drawn)
+        assert run(capsys, "verify", *argv.split()) == (1, "", f"ent-norm: error: {message}\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_curve_solves_the_tangent_before_inverting_the_grid(self, capsys, monkeypatch, fmt):
+        def inverted(n, h):
+            raise AssertionError("inverted the grid")
+
+        monkeypatch.setattr("entnorm.curves.inv_entropy_peaked", inverted)
+        monkeypatch.setattr("entnorm.curves.inv_entropy_stepped", inverted)
+        argv = ["curve", "--n", "3", "--alpha", "1e10", "--grid", "1048576", "--format", fmt]
+        assert run(capsys, *argv) == (1, "", f"ent-norm: error: {_BRACKET}\n")
+
+
 class TestMeasures:
     def test_lower_boundary_witness_file(self, capsys, tmp_path):
         j = witness_min(3, (LN(2) + LN(3)) / 2)

@@ -62,6 +62,26 @@ class TestEntropyAlongCurves:
         with pytest.raises(DomainError, match="outside"):
             entropy_peaked(3, np.array([0.1, 0.5]))  # one entry out refuses the array
 
+    def test_norm_domains_match_the_entropies(self):
+        # p was clipped into the family's range: norm_peaked(3, 5.0, 2) answered the uniform norm
+        for p in (5.0, -1.0, 1 / 3 + 1e-9, -1e-9, np.array([0.1, 0.5])):
+            with pytest.raises(DomainError, match="outside"):
+                norm_peaked(3, p, 2.0)
+        for p in (1.5, 0.2, 1 / 3 - 1e-9, np.array([0.5, 1.5])):
+            with pytest.raises(DomainError, match="outside"):
+                norm_stepped(3, p, 2.0)
+        assert norm_peaked(3, 1 / 3 + 1e-13, 2.0) == norm_peaked(3, 1 / 3, 2.0)  # within SUM_TOL: clipped
+        assert norm_stepped(3, 1.0 + 1e-13, 2.0) == norm_stepped(3, 1.0, 2.0)
+
+    # orders 0.001 and 0.005 only at n = 2: beyond, ||u_n||_alpha is no double
+    @pytest.mark.parametrize("n, alpha", [(2, 0.001), (2, 0.005)] + [(n, a) for n in (2, 3, 8, 10**4)
+                                                                     for a in (0.3, 2.0, 1e3)])
+    def test_peaked_top_is_the_uniform_norm(self, n, alpha):
+        # the power sum at p = 1/n missed ||u_n|| by about 1/alpha ulps
+        u = norm_uniform(n, alpha)
+        assert norm_peaked(n, 1.0 / n, alpha) == u
+        assert norm_peaked(n, np.array([0.0, 1.0 / n]), alpha)[1] == u
+
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_monotone(self, n):
         ps = np.linspace(0.0, 1.0 / n, 1000)
@@ -243,6 +263,8 @@ class TestTangent:
     def test_binary_is_half(self):
         for alpha in (0.2, 0.5, 3.0):
             assert tangent_point(2, alpha).p == 0.5
+        for alpha in (0.001, 0.002, 0.005, 0.3, 2.0):
+            assert tangent_point(2, alpha).norm == norm_uniform(2, alpha)
 
     def test_root_quality(self):
         ts = tangent_point(4, 2.0)

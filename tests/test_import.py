@@ -70,6 +70,18 @@ def test_scalar_commands_leave_numpy_unloaded(capsys):
         assert (code, out) == (main(argv), capsys.readouterr().out), argv
 
 
+# refused before the upper screen, which is the first array operation of verify
+REFUSED_VERIFY = [
+    ["verify", "--n", "8", "--alpha", "1"],
+    ["verify", "--n", "8", "--alpha", "0"],
+    ["verify", "--n", "2", "--alpha", "1e-4"],
+]
+
+
+def test_refused_verify_leaves_numpy_unloaded():
+    assert fresh(REFUSED_VERIFY)["runs"] == [[1, "", False]] * len(REFUSED_VERIFY)
+
+
 @pytest.fixture
 def array_argvs(tmp_path):
     joint = tmp_path / "joint.json"

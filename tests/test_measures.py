@@ -22,6 +22,7 @@ from entnorm.measures import (
     renyi_range_for_entropy,
     rnorm_range_for_entropy,
 )
+from entnorm.oracle import witness_max, witness_min
 from entnorm.simplex import DomainError, make_stepped, make_uniform
 
 LN = math.log
@@ -277,6 +278,19 @@ class TestMutualRange:
         lo, hi = mutual_range_for_mutual(9, 0.3, 1.0)
         assert lo is None and hi is not None
 
+    def test_ends_lie_in_zero_to_ln_n(self):
+        # ln n - r rounded below 0: (2, 0.05) at i = 1e-15 gave -1.1e-16, (100, 0.99) at i = 0 gave -3.5e-14
+        assert mutual_range_for_mutual(2, 0.05, 1e-15)[0] == 0.0
+        assert mutual_range_for_mutual(100, 0.99, 0.0) == (0.0, 0.0)
+        assert e0_range_for_mutual(2, 19.0, 1e-15)[0] == 0.0
+        for n in (2, 3, 5, 8, 100, 10**4, 10**6):
+            for alpha in (0.005, 0.05, 0.3, 0.5, 0.7, 0.99, 1.01, 2.0, 10.0, 50.0):
+                if (1.0 / alpha - 1.0) * LN(n) > 709.0:  # ||u_n||_alpha beyond doubles: refused
+                    continue
+                for i in (0.0, 1e-15, 1e-9, 0.3 * LN(n), 0.7 * LN(n), LN(n) - 1e-12, LN(n)):
+                    for end in mutual_range_for_mutual(n, alpha, i):
+                        assert end is None or 0.0 <= end <= LN(n), (n, alpha, i)
+
     def test_monte_carlo_containment(self):
         rng = np.random.default_rng(61)
         for _ in range(150):
@@ -328,6 +342,42 @@ class TestE0Range:
     def test_rho_domain(self):
         with pytest.raises(DomainError):
             e0_range_for_mutual(5, -1.0, 0.5)
+
+
+def _shift_channel(joint):
+    """The channel T[x, (j, s)] = w_j r_j[(x - s) mod n], one output per row j and shift s.
+
+    Its rows sum to the weights' sum, 1. Under uniform input the posterior
+    at output (j, s) is r_j shifted by s, with weight w_j, so the channel
+    carries the joint's conditional entropy and expected norms.
+    """
+    x = np.arange(joint.n)
+    return Channel(np.stack([w * r[(x - s) % joint.n] for w, r in zip(joint.py, joint.rows) for s in x], axis=1))
+
+
+class TestE0RangeIsTight:
+    """The joint witnesses, made channels by cyclic shifts, attain both ends of the E0 and mutual ranges."""
+
+    def test_witness_channels_attain_the_ends(self):
+        rng = np.random.default_rng(19)
+        lower_ends = 0
+        for _ in range(200):
+            n = int(rng.choice([2, 3, 4, 5, 8, 13]))
+            rho, i = float(rng.uniform(-0.95, 4.0)), float(rng.uniform(0.01, 0.99)) * LN(n)
+            alpha = 1.0 / (1.0 + rho)
+            e0_lo, e0_hi = e0_range_for_mutual(n, rho, i)
+            m_lo, m_hi = mutual_range_for_mutual(n, alpha, i)
+            # the least norm gives the largest Renyi entropy above order 1 and the least below it
+            sides = [(witness_min(n, LN(n) - i), e0_hi, m_hi if alpha < 1.0 else m_lo)]
+            if e0_lo is not None:
+                lower_ends += 1
+                sides.append((witness_max(n, alpha, LN(n) - i), e0_lo, m_lo if alpha < 1.0 else m_hi))
+            for joint, e0_end, mutual_end in sides:
+                ch = _shift_channel(joint)
+                assert LN(n) - cond_shannon(joint_from_channel_uniform(ch)) == pytest.approx(i, abs=1e-9)
+                assert gallager_e0_uniform(ch, rho) == pytest.approx(e0_end, rel=1e-9, abs=1e-9), (n, rho, i)
+                assert arimoto_mutual_uniform(ch, alpha) == pytest.approx(mutual_end, rel=1e-9, abs=1e-9)
+        assert 0 < lower_ends < 200  # rho > 1 at n >= 3 leaves no lower end
 
 
 class TestHighPrecisionReference:

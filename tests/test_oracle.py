@@ -176,6 +176,24 @@ class TestVerifyEnvelope:
         assert peak < 16 * 2**20
 
 
+class TestVerifySandwich:
+    @pytest.mark.parametrize("n, alpha, samples, message", [
+        (3, 2.0, 0, "samples=0 must be >= 1"),
+        (2**24 + 1, 2.0, 5, "a sample of 16777217 floats exceeds the 16777216-float chunk budget"),
+        (3, 0.0, 5, "alpha=0.0 must be positive"),
+        (3, math.nan, 5, "alpha=nan must be positive"),
+        (2, 1e-4, 5, "unsupported order alpha=0.0001: a value at this order is not a finite double"),
+    ])
+    def test_refuses_before_drawing(self, monkeypatch, n, alpha, samples, message):
+        def drawn(*args):
+            raise AssertionError("drew a point")
+
+        monkeypatch.setattr(oracle, "_sample_simplex", drawn)
+        with pytest.raises(DomainError) as info:
+            oracle.verify_sandwich(n, alpha, samples, seed=0)
+        assert str(info.value) == message
+
+
 class TestTally:
     def test_non_finite_excess_raises(self):
         # NaN > 1e-9 is False and max(0.0, nan) is 0.0: without the check this reports a clean pass
@@ -183,7 +201,7 @@ class TestTally:
             return np.full(count, np.nan), None
 
         with pytest.raises(NumericalError, match="non-finite"):
-            oracle._tally(2, 2.0, 10, 0, 4, excesses)
+            oracle._tally(10, 0, oracle._chunk_plan(10, 4), 1e-9, excesses)
 
 
 _EXACT_UPPER = bounds._envelope_upper_vec
@@ -196,7 +214,8 @@ def _exact_report(n, alpha, samples, seed, y_size, kernel=_EXACT_UPPER):
         h, norm = oracle._chunk_measures(n, y_size, alpha, count, seed, chunk_index)
         return bounds._envelope_lower_vec(n, alpha, h) - norm, norm - kernel(n, alpha, h)
 
-    return oracle._tally(n, alpha, samples, seed, y_size * n, excesses)
+    slack = 1e-9 * max(1.0, curves.norm_uniform(n, alpha))
+    return oracle._tally(samples, seed, oracle._chunk_plan(samples, y_size * n), slack, excesses)
 
 
 @pytest.fixture
