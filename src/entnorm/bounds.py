@@ -63,7 +63,7 @@ def _envelope_upper_vec(n: int, alpha: float, h):
 
     if not is_array(h):
         return curve(h) if h <= ts.h else segment(h)
-    # each piece only on its own entries: the curve costs a bisection per entry
+    # each piece only on its own entries: the curve costs a root solve per entry
     out = np.empty_like(h)
     on_curve = h <= ts.h
     if on_curve.any():

@@ -14,7 +14,8 @@ array and return the same kind. Each is one formula: floats go through
 
 Every equation solved here is either strictly monotone or has a single
 sign change in its bracket, so one bracketed root finder, ``root``, solves
-them all: false-position steps for a float, fixed halvings for an array.
+them all: false-position steps for a float; for an array, Newton steps
+where the caller gives a derivative and fixed halvings where it does not.
 Each keeps the bracket, so each converges unconditionally.
 """
 
@@ -26,7 +27,11 @@ from functools import lru_cache
 
 from .simplex import SUM_TOL, DomainError, _clamp, _finite, _norm, _pow, _power_sum, _xlogx, is_array, np, step_count
 
-_HALVINGS = 64  # an array solve halves this often; a float solve stops no wider, within 2^-65 of the bracket's width
+# an array solve halves this often, or takes at most this many Newton steps; a float solve stops no wider, within
+# 2^-65 of the bracket's width
+_HALVINGS = 64
+_PEAKED_NODES = 512  # the array inverse of the peaked entropy brackets and starts each h from this many curve points
+_U_MAX = 745.0  # u = ln(q/p) where p = e^-745 rounds to the smallest subnormal double
 _H_SLACK = 1e-9  # entropies this far outside [0, ln n] are clipped, not rejected
 _EXP_MAX = 709.0  # exp overflows float64 just above this
 
@@ -59,12 +64,18 @@ def clamp_entropy(n: int, h, name: str = "h"):
     return _clamp(h, 0.0, math.log(n), _H_SLACK, name, f"[0, ln {n}]")
 
 
-def root(f, lo, hi, f_lo=None, f_hi=None):
+def root(f, lo, hi, f_lo=None, f_hi=None, df=None, x0=None):
     """Where the rising f crosses from negative to non-negative in [lo, hi]; a caller negates a falling f.
 
     f_lo and f_hi are f at the ends, where the caller has them. f may map an
     array to an array: then each element's bracket is halved _HALVINGS
-    times. A float solve takes Illinois false-position steps (Dowell &
+    times, unless the caller gives f's derivative df and a start x0. Then
+    each element takes a Newton step where it stays inside the element's
+    bracket, and a halving where it leaves it (the rtsafe pattern); a step
+    under half an ulp moves to the neighbouring double instead, so that the
+    bracket closes from both sides. The solve stops once every bracket is
+    down to adjacent doubles, or two adjacent zeros of f, or after _HALVINGS
+    steps. A float solve takes Illinois false-position steps (Dowell &
     Jarratt, 1971) inside the bracket, and a plain halving instead after two
     steps that have not halved it, or where only halvings from here would
     narrow it to the floor within 2 * _HALVINGS steps. It stops at adjacent
@@ -72,6 +83,27 @@ def root(f, lo, hi, f_lo=None, f_hi=None):
     exact zero of f, which it returns. A NaN from f moves the same end as it
     does in a halving.
     """
+    if df is not None:
+        x, x_prev, f_prev = x0, x0, np.nan
+        for _ in range(_HALVINGS):
+            fx = f(x)
+            below = fx < 0.0
+            lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+            flat = np.flatnonzero((fx == 0.0) & (f_prev == 0.0))
+            if flat.size:  # two zeros in a row: where they are adjacent doubles, a plateau of roots closes the bracket
+                flat = flat[np.nextafter(x[flat], x_prev[flat]) == x_prev[flat]]
+                lo[flat] = x[flat]
+            mid = 0.5 * (lo + hi)
+            if ((mid == lo) | (mid == hi)).all():  # every bracket down to adjacent doubles
+                break
+            with np.errstate(divide="ignore", invalid="ignore"):  # a zero df gives a NaN step: a halving
+                step = x - fx / df(x)
+            stuck = np.flatnonzero(step == x)  # a step under half an ulp: the neighbour across the root instead
+            if stuck.size:
+                step[stuck] = np.nextafter(x[stuck], np.where(below[stuck], hi[stuck], lo[stuck]))
+            x_prev, f_prev = x, fx
+            x = np.where((lo < step) & (step < hi), step, mid)
+        return 0.5 * (lo + hi)
     f_lo = f(lo) if f_lo is None else f_lo
     if is_array(f_lo):
         for _ in range(_HALVINGS):
@@ -155,8 +187,9 @@ def has_upper_envelope(n: int, alpha: float) -> bool:
 
 
 def _entropy_peaked(n: int, p):
-    q = 1.0 - (n - 1) * p
-    return -_xlogx(q) - (n - 1) * _xlogx(p)
+    x = (n - 1) * p
+    # -q ln q as -q log1p(-x): q = 1 - x rounds to 1 where x is below about 1e-16, and ln q with it to 0
+    return -(1.0 - x) * _xp(x).log1p(-x) - (n - 1) * _xlogx(p)
 
 
 def _entropy_stepped(n: int, p):
@@ -189,11 +222,11 @@ def norm_peaked(n: int, p, alpha: float):
 
 
 def norm_stepped(n: int, p, alpha: float):
-    """alpha-norm of the stepped vector: floor(1/p) masses p and the remainder."""
+    """alpha-norm of the stepped vector: floor(1/p) masses p and the remainder; norm_uniform's at a corner p = 1/m."""
     _check_n(n)
     p = _clamp(p, 1.0 / n, 1.0, SUM_TOL, "p", f"[1/{n}, 1]")
     k = step_count(p)
-    return _norm(n, alpha, (p, _clip(1.0 - k * p, 0.0, 1.0)), (k, 1.0))[0]
+    return _where(p == 1.0 / k, norm_uniform(k, alpha), _norm(n, alpha, (p, _clip(1.0 - k * p, 0.0, 1.0)), (k, 1.0))[0])
 
 
 def norm_uniform(m, alpha: float):
@@ -204,16 +237,40 @@ def norm_uniform(m, alpha: float):
 
 
 def inv_entropy_peaked(n: int, h):
-    """The p in [0, 1/n] with entropy_peaked(n, p) = h."""
+    """The p in [0, 1/n] with entropy_peaked(n, p) = h.
+
+    A float takes root's false-position steps. An array takes root's Newton
+    steps, dH/dp = (n-1) ln(q/p), from a table of _PEAKED_NODES curve points
+    uniform in u = ln(q/p), from p = 1/n down to the smallest subnormal
+    double: the nodes on either side of each h bracket it, and interpolating
+    ln p between them gives its start.
+    """
     _check_n(n)
     h = clamp_entropy(n, h)
-    p = root(lambda p: _entropy_peaked(n, p) - h, 0.0, 1.0 / n)
     # exact ends: the solve leaves p a few ulp inside, which inflates p^alpha
     # noticeably for small alpha. The curve is quadratically flat at its top,
     # so inversion there is ill-conditioned in h: snap when h matches the top
     # to float precision.
     top = abs(_entropy_peaked(n, 1.0 / n) - h) <= 4e-16 * math.log(n)
+    if is_array(h):
+        p = _inv_peaked_newton(n, np.where(top, 0.0, h))  # as at h = 0, one node brackets a snapped h: no steps
+    else:
+        p = root(lambda p: _entropy_peaked(n, p) - h, 0.0, 1.0 / n)
     return _where(h <= 0.0, 0.0, _where(top, 1.0 / n, p))
+
+
+def _inv_peaked_newton(n: int, h):
+    """inv_entropy_peaked for an array h in [0, ln n], before its exact ends."""
+    t_nodes = -np.logaddexp(np.linspace(_U_MAX, 0.0, _PEAKED_NODES), math.log(n - 1))  # ln p, p = 1/(e^u + n - 1)
+    p_nodes = np.exp(t_nodes)
+    h_nodes = _entropy_peaked(n, p_nodes)  # rising
+    k = np.searchsorted(h_nodes, h)  # h_nodes[k - 1] < h <= h_nodes[k]; beyond the table, one node brackets h
+    lo, hi = p_nodes[np.maximum(k - 1, 0)], p_nodes[np.minimum(k, _PEAKED_NODES - 1)]
+
+    def slope(p):
+        return (n - 1) * (np.log1p(-(n - 1) * p) - np.log(p))
+
+    return root(lambda p: _entropy_peaked(n, p) - h, lo, hi, df=slope, x0=np.exp(np.interp(h, h_nodes, t_nodes)))
 
 
 def inv_entropy_stepped(n: int, h):

@@ -170,9 +170,8 @@ def _upper_screen(n: int, alpha: float, scale: float):
     The margin, 1e-12 of the norms' scale, covers the kernel's rounding at
     the nodes and at the sample: it fell below the chord by at most 3.2e-15
     of the scale for n from 2 to 1e6 and orders from 0.05 to 1e6, at the
-    tangency, nodes and ends too. Near h = 0 the bisection resolves p
-    poorly relative to itself, but the kernel's error there, U'(h) times an
-    h-error well under h, is far below the gap to the chord, of order U'(h) h.
+    tangency, nodes and ends too. Near h = 0 the kernel's error, U'(h) times
+    an h-error well under h, is far below the gap to the chord, of order U'(h) h.
     """
     nodes = np.linspace(0.0, math.log(n), _NODES)
     values = bounds._envelope_upper_vec(n, alpha, nodes)

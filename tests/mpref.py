@@ -1,4 +1,4 @@
-"""A 50-digit mpmath reference for the tests: norms and entropy, the peaked curve, its two roots and both envelopes.
+"""A 50-digit mpmath reference for the tests: norms and entropy, the peaked curve, its roots and both envelopes.
 
 Each root is bracketed and then bisected, never polished by Newton-type
 steps, so a reference value cannot wander off to another root or fail to
@@ -32,9 +32,17 @@ def bisect(f, lo, hi):
 
 
 def entropy_peaked(n, p):
-    """-q ln q - (n-1) p ln p, q = 1 - (n-1)p."""
+    """-q ln q - (n-1) p ln p, q = 1 - (n-1)p, with ln q as log1p(-(n-1)p): q rounds to 1 below p ~ 10^-DPS."""
     q = 1 - (n - 1) * p
-    return -q * mp.log(q) - (n - 1) * p * mp.log(p)
+    return -q * mp.log1p(-(n - 1) * p) - (n - 1) * p * mp.log(p)
+
+
+@lru_cache(maxsize=None)
+def inv_entropy_peaked(n, h):
+    """The p in (0, 1/n] with entropy_peaked(n, p) = h > 0, bisected in ln p from 1e-400: tiny p keep their digits."""
+    with mp.workdps(DPS):
+        n, h = mp.mpf(n), mp.mpf(h)
+        return mp.exp(bisect(lambda t: entropy_peaked(n, mp.exp(t)) - h, mp.log(mp.mpf("1e-400")), -mp.log(n)))
 
 
 def norm_peaked(n, p, a):
@@ -107,7 +115,7 @@ def envelope_lower(n: int, alpha: float, h: float):
 
 
 def envelope_upper(n: int, alpha: float, h):
-    """The peaked curve's norm at its bisected entropy inverse up to h* = H(p*), then the chord to (ln n, n^x).
+    """The peaked curve's norm at inv_entropy_peaked up to h* = H(p*), then the chord to (ln n, n^x).
 
     p* = 1/2 at n = 2, where the chord is empty; h at or above ln n gives n^x, x = 1/alpha - 1.
     """
@@ -120,5 +128,4 @@ def envelope_upper(n: int, alpha: float, h):
         if h > h_star:
             lam = (mp.log(n) - h) / (mp.log(n) - h_star)
             return lam * norm_peaked(n, p_star, a) + (1 - lam) * top
-        p = bisect(lambda p: entropy_peaked(n, p) - h, mp.mpf("1e-400"), p_star) if h > 0 else mp.mpf(0)
-        return norm_peaked(n, p, a)
+        return norm_peaked(n, inv_entropy_peaked(n, h) if h > 0 else mp.mpf(0), a)

@@ -287,16 +287,21 @@ class TestUpperEnvelopeSmallEntropy:
         assert abs(envelope_upper(n, alpha, h) - want) <= 1e-9
         assert abs(float(envelope_upper(n, alpha, np.array([h, 0.5 * LN(n)]))[0]) - want) <= 1e-9
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="mostly the lost -q ln q term: _entropy_peaked rounds q = 1 - (n-1)p to 1 at p = 2.6e-17, "
-        "dropping about (n-1)p, 2.6% of h; the solve also stops at the width 64 halvings of [0, 1/2] leave, "
-        "which resolves p to only ~5e-4 of itself. "
-        "The norm ends ~2.8e-7 off; see ROADMAP item 2",
-    )
     def test_matches_mpmath_at_1e_15(self):
+        # -q ln q is written -q log1p(-(n-1)p): q = 1 - (n-1)p rounds to 1 at p = 2.6e-17, which lost 2.6% of h
         want = float(_mp_envelope_upper_on_curve(2, 0.3, 1e-15))
         assert abs(envelope_upper(2, 0.3, 1e-15) - want) <= 1e-9
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the float solve in p stops at its floor, a width set by the bracket [0, 1/2], and returns "
+        "p = 3.6e-31 for 1.3e-32: the norm ends 1.5e-9 relative off. A solve in ln p would resolve p "
+        "(ROADMAP item 2, step 1)",
+    )
+    def test_matches_mpmath_at_1e_30(self):
+        want = float(_mp_envelope_upper_on_curve(2, 0.3, 1e-30))
+        assert float(envelope_upper(2, 0.3, np.array([1e-30]))[0]) == pytest.approx(want, rel=1e-14)  # the array solve
+        assert abs(envelope_upper(2, 0.3, 1e-30) - want) <= 1e-9 * want
 
 
 class TestSandwich:

@@ -136,6 +136,12 @@ class TestCurve:
         assert float(last[3]) == pytest.approx(8.0, rel=1e-12)
         assert float(last[4]) == pytest.approx(8.0, rel=1e-12)
 
+    def test_last_row_stepped_norm_is_the_uniform_norm(self, capsys):
+        # h = ln 2 inverts the stepped curve to its corner p = 1/2, the vector u_2; its power sum missed ||u_2||
+        code, out, _ = run(capsys, "curve", "--n", "2", "--alpha", "0.01", "--grid", "16")
+        last = out.strip().split("\n")[-1].split(",")
+        assert code == 0 and last[2] == last[3]
+
     def test_upper_column_empty_when_absent(self, capsys):
         code, out, _ = run(capsys, "curve", "--n", "8", "--alpha", "0.3", "--grid", "16")
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]

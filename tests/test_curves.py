@@ -82,6 +82,12 @@ class TestEntropyAlongCurves:
         assert norm_peaked(n, 1.0 / n, alpha) == u
         assert norm_peaked(n, np.array([0.0, 1.0 / n]), alpha)[1] == u
 
+    def test_stepped_corner_is_the_uniform_norm(self):
+        # at p = 1/m the stepped vector is u_m, whose power sum missed ||u_m|| by about 1e-14 at these orders
+        assert norm_stepped(2, 0.5, 0.005) == norm_uniform(2, 0.005)
+        assert norm_stepped(8, 1 / 3, 0.01) == norm_uniform(3, 0.01)
+        assert norm_stepped(8, np.array([0.4, 1 / 3]), 0.01)[1] == norm_uniform(3, 0.01)
+
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_monotone(self, n):
         ps = np.linspace(0.0, 1.0 / n, 1000)
@@ -373,7 +379,8 @@ class TestExtremeOrders:
 
 
 class TestRoot:
-    """curves.root: Illinois steps inside the bracket for a float f, fixed halvings for an array f."""
+    """curves.root: Illinois steps inside the bracket for a float f; for an array f, fixed halvings, or Newton steps
+    where a derivative is given."""
 
     @staticmethod
     def counted(f):
@@ -442,6 +449,49 @@ class TestRoot:
         nan_inside = lambda x: -1.0 if x == 0.0 else 1.0 if x == 1.0 else math.nan  # noqa: E731
         want = root(lambda x: np.where(x == 0.0, -1.0, np.where(x == 1.0, 1.0, np.nan)), np.zeros(1), np.ones(1))
         assert root(nan_inside, 0.0, 1.0) == float(want[0]) == 2.0**-65
+
+    @staticmethod
+    def newton_evals(monkeypatch, n, h):
+        """The evaluations of f each Newton solve of inv_entropy_peaked(n, h) takes."""
+        evals = []
+
+        def counting_root(f, lo, hi, f_lo=None, f_hi=None, df=None, x0=None):
+            g, calls = TestRoot.counted(f)
+            p = root(g, lo, hi, f_lo, f_hi, df, x0)
+            evals.append(len(calls))
+            return p
+
+        monkeypatch.setattr(curves, "root", counting_root)
+        inv_entropy_peaked(n, h)
+        monkeypatch.undo()
+        return evals
+
+    # (n, grid) of the seven `curve` requests of perfbench's table workload at seed 1001; the inverse needs no order
+    TABLE_GRIDS = ((120, 512), (9138, 2048), (2005, 1024), (20, 512), (41, 512), (304, 256), (6, 256))
+
+    @pytest.mark.parametrize("n, grid", TABLE_GRIDS)
+    def test_newton_steps_on_the_table_grids(self, monkeypatch, n, grid):
+        (evals,) = self.newton_evals(monkeypatch, n, LN(n) * np.arange(grid) / (grid - 1))
+        assert evals <= 11  # measured 7 to 11 over these grids and those of seeds 1002 to 1010
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 10**4, 10**6])
+    def test_newton_steps_never_exceed_the_halvings(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        h = np.concatenate([LN(n) * rng.random(2000) ** rng.uniform(1.0, 30.0, 2000),  # down to about 1e-300
+                            LN(n) * (1.0 - 10.0 ** -rng.uniform(0.0, 12.0, 2000)),  # up to 1e-12 below the top
+                            [1e-300, 1e-30, 1e-15, 0.0, LN(n)]])
+        (evals,) = self.newton_evals(monkeypatch, n, h)
+        assert evals <= curves._HALVINGS
+        p = inv_entropy_peaked(n, h)
+        inside = (h > 0.0) & (h < LN(n))
+        assert np.all(abs(entropy_peaked(n, p[inside]) - h[inside]) <= 1e-14 * LN(n))
+
+    def test_newton_halves_where_the_step_leaves_the_bracket(self):
+        f, calls = self.counted(lambda x: np.expm1(3.0 * x) - 0.5)
+        # a derivative a thousand times too small sends the Newton steps out of the bracket: halvings still converge
+        got = root(f, np.zeros(1), np.ones(1), df=lambda x: 3e-3 * np.exp(3.0 * x), x0=np.full(1, 0.9))
+        assert len(calls) <= curves._HALVINGS
+        assert float(got[0]) == pytest.approx(math.log1p(0.5) / 3.0, rel=2 * sys.float_info.epsilon)
 
     @pytest.mark.parametrize("n", [3, 8])
     def test_stepped_inverse_across_corners(self, n):

@@ -1,4 +1,4 @@
-"""Error map of the tangent point, the inflection and both envelopes against the 50-digit reference (tests/mpref.py).
+"""Error map of the tangent point, the inflection, both envelopes and the array peaked inverse against tests/mpref.py.
 
 One case per quantity, alphabet size and order. Each quantity has its own
 relative tolerance. A point the program misses today is a strict xfail
@@ -8,6 +8,7 @@ whose reason gives the measured error, so a fix shows as an XPASS.
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import mpref
@@ -79,3 +80,32 @@ def _cases():
 def test_matches_mpmath(quantity, n, alpha):
     for got, want in _errors(quantity, n, alpha):
         assert abs(got - want) <= TOLERANCES[quantity] * abs(want), (got, want)
+
+
+# The array solves of the peaked inverse, one array per case: four entropies, then four fractions of ln n
+ARRAY_H = (1e-300, 1e-30, 1e-15, 1e-6)
+ARRAY_FRACTIONS = (0.05, 0.5, 1 - 1e-6, 1 - 1e-10)
+# Relative tolerances at each h: the worst error of the halving solve these replaced, rounded up over three groups.
+# Below the top it is taken over 0.05 and 0.5 ln n (1.4e-15 for the inverse), as that solve missed the first
+# three h by far; the upper envelope keeps TOLERANCES'. Near the top H is flat, so its rounding moves p by about
+# eps ln n / (p dH/dp): 6.1e-14 of p at (1 - 1e-6) ln n and 9.2e-12 at (1 - 1e-10) ln n. The upper envelope there
+# is mostly the tangent segment, steep at large orders, where fl(ln n) < ln n moves it: 6.0e-11 and 3.3e-8.
+ARRAY_TOLERANCES = {"inverse": (2e-15,) * 6 + (1e-13, 1e-11), "upper": (TOLERANCES["upper"],) * 6 + (1e-10, 1e-7)}
+
+
+def _array_cases():
+    for n in NS:
+        yield pytest.param("inverse", n, None, id=f"inverse-{n}")
+        for alpha in ORDERS:
+            yield pytest.param("upper", n, alpha, id=f"upper-{n}-{alpha!r}")
+
+
+@pytest.mark.parametrize("quantity, n, alpha", _array_cases())
+def test_array_solve_matches_mpmath(quantity, n, alpha):
+    hs = ARRAY_H + tuple(f * math.log(n) for f in ARRAY_FRACTIONS)
+    if quantity == "inverse":
+        got, want = curves.inv_entropy_peaked(n, np.array(hs)), [mpref.inv_entropy_peaked(n, h) for h in hs]
+    else:
+        got, want = bounds.envelope_upper(n, alpha, np.array(hs)), [mpref.envelope_upper(n, alpha, h) for h in hs]
+    for h, g, w, tol in zip(hs, got, want, ARRAY_TOLERANCES[quantity]):
+        assert abs(g - w) <= tol * abs(w), (h, g, w)
