@@ -154,9 +154,15 @@ def _check_norm(n: int, alpha: float, norm: float) -> float:
 
 
 def _peaked_p_at_norm(n: int, alpha: float, norm: float, p_hi: float) -> float:
-    """The p in [0, p_hi] where the peaked curve has the given alpha-norm."""
+    """The p in [0, p_hi] where the peaked curve has the given alpha-norm.
+
+    The end p_hi, which may be 1/n, goes through norm_peaked; every other
+    point through the norm kernel curves prepares once per solve.
+    """
     rising = 1.0 if alpha < 1.0 else -1.0  # the norm rises with p below order 1
-    return curves.root(lambda p: rising * (curves.norm_peaked(n, p, alpha) - norm), 0.0, p_hi)
+    norm_slope = curves._norm_slope(n, alpha)
+    f_hi = rising * (curves.norm_peaked(n, p_hi, alpha) - norm)
+    return curves.root(lambda p: rising * (norm_slope(p, False)[0] - norm), 0.0, p_hi, None, f_hi)
 
 
 def entropy_range_for_norm(n: int, alpha: float, norm: float) -> tuple[float, float]:

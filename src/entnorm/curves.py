@@ -16,7 +16,11 @@ Every equation solved here is either strictly monotone or has a single
 sign change in its bracket, so one bracketed root finder, ``root``, solves
 them all: false-position steps for a float; for an array, Newton steps
 where the caller gives a derivative and fixed halvings where it does not.
-Each keeps the bracket, so each converges unconditionally.
+Each keeps the bracket, so each converges unconditionally. A float solve
+of the peaked curve evaluates a kernel prepared once per solve: the
+constants of (n, alpha) worked out once, and the operations of the public
+function in the same order, through ``math`` without the float/array
+dispatch, so every step gives the same double.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .simplex import SUM_TOL, DomainError, _clamp, _finite, _norm, _pow, _power_sum, _xlogx, is_array, np, step_count
+from .simplex import _LOG_TINY, SUM_TOL, DomainError, _clamp, _finite, _norm, _pow, _power_sum, _xlogx, is_array, np
+from .simplex import step_count
 
 # an array solve halves this often, or takes at most this many Newton steps; a float solve stops no wider, within
 # 2^-65 of the bracket's width
@@ -34,14 +39,6 @@ _PEAKED_NODES = 512  # the array inverse of the peaked entropy brackets and star
 _U_MAX = 745.0  # u = ln(q/p) where p = e^-745 rounds to the smallest subnormal double
 _H_SLACK = 1e-9  # entropies this far outside [0, ln n] are clipped, not rejected
 _EXP_MAX = 709.0  # exp overflows float64 just above this
-
-
-def _exp(x: float) -> float:
-    return math.exp(x) if x < _EXP_MAX else math.inf
-
-
-def _expm1(x: float) -> float:
-    return math.expm1(x) if x < _EXP_MAX else math.inf
 
 
 def _xp(x):
@@ -81,7 +78,10 @@ def root(f, lo, hi, f_lo=None, f_hi=None, df=None, x0=None):
     narrow it to the floor within 2 * _HALVINGS steps. It stops at adjacent
     doubles, at the floor, the width _HALVINGS halvings leave, or at an
     exact zero of f, which it returns. A NaN from f moves the same end as it
-    does in a halving.
+    does in a halving. The float solves of this package pass f as a kernel
+    prepared once per solve (_tangency, _curvature, _peaked_entropy,
+    _norm_slope): the same arithmetic as the public functions, so the same
+    roots.
     """
     if df is not None:
         x, x_prev, f_prev = x0, x0, np.nan
@@ -116,11 +116,15 @@ def root(f, lo, hi, f_lo=None, f_hi=None, df=None, x0=None):
         return lo if f_lo == 0.0 else hi
     floor, budget = (hi - lo) * 2.0**-_HALVINGS, (hi - lo) * 2.0**_HALVINGS
     ref, kept, tries = hi - lo, 0, 0  # width to halve, end the last false-position step moved, steps since ref
-    while hi - lo > max(floor, math.ulp(0.5 * (lo + hi))):
+    ulp = math.ulp
+    while True:
+        width, mid = hi - lo, 0.5 * (lo + hi)
+        if width <= floor or width <= ulp(mid):
+            return mid
         budget *= 0.5  # a bracket wider than this needs every step left to be a halving
-        secant = tries < 2 and hi - lo <= budget
-        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi)) if secant else 0.5 * (lo + hi)
-        x = x if lo < x < hi else 0.5 * (lo + hi)  # a NaN or inf f makes the step a halving
+        secant = tries < 2 and width <= budget
+        x = lo + width * (f_lo / (f_lo - f_hi)) if secant else mid
+        x = x if lo < x < hi else mid  # a NaN or inf f makes the step a halving
         g = f(x)
         if g == 0.0:
             return x
@@ -133,7 +137,6 @@ def root(f, lo, hi, f_lo=None, f_hi=None, df=None, x0=None):
         kept = (-1 if g < 0.0 else 1) if secant else kept
         tries = tries + 1 if hi - lo > 0.5 * ref else 0
         ref = ref if tries else hi - lo
-    return 0.5 * (lo + hi)
 
 
 # Probes by repeated multiplication, whose bits set the root: 1e-14 * 1e-4 * 1e-4 is 1.0000000000000002e-22
@@ -144,15 +147,17 @@ _TANGENT_PROBES = tuple(math.prod((1e-14,) + (1e-4,) * k) for k in range(6))  # 
 def _bracketed_root(f, fixed: float, probes, n: int, alpha: float, what: str) -> float:
     """The root of f, solved between fixed and the first probe where f has the other sign.
 
-    DomainError naming the order when no probe has: doubles cannot bracket the root.
+    f is the solve's prepared kernel; root gets it as it is where it rises
+    from lo to hi, else negated, which is exact. DomainError naming the
+    order when no probe has the other sign: doubles cannot bracket the root.
     """
     f_fixed = f(fixed)
     for probe in probes:
         f_probe = f(probe)
         if (f_probe < 0.0) != (f_fixed < 0.0):  # the signs themselves: a product of the two can underflow
             lo, hi, f_lo, f_hi = (probe, fixed, f_probe, f_fixed) if probe < fixed else (fixed, probe, f_fixed, f_probe)
-            s = 1.0 if f_lo < 0.0 else -1.0  # root needs f rising
-            return root(lambda p: s * f(p), lo, hi, s * f_lo, s * f_hi)
+            s = 1.0 if f_lo < 0.0 else -1.0  # root needs f rising; multiplying by +-1 is exact
+            return root(f if s > 0.0 else lambda p: s * f(p), lo, hi, s * f_lo, s * f_hi)
     raise DomainError(
         f"unsupported order alpha={alpha!r} for n={n}: no sign change of {what} brackets the root in double "
         f"precision, f({fixed!r})={f_fixed!r}, f({probe!r})={f_probe!r}"
@@ -190,6 +195,17 @@ def _entropy_peaked(n: int, p):
     x = (n - 1) * p
     # -q ln q as -q log1p(-x): q = 1 - x rounds to 1 where x is below about 1e-16, and ln q with it to 0
     return -(1.0 - x) * _xp(x).log1p(-x) - (n - 1) * _xlogx(p)
+
+
+def _peaked_entropy(n: int, h: float = 0.0):
+    """p -> _entropy_peaked(n, p) - h for a float p in [0, 1/n]: the same operations, through math directly."""
+    nm1, log, log1p = float(n - 1), math.log, math.log1p
+
+    def entropy(p):
+        x = nm1 * p
+        return -(1.0 - x) * log1p(-x) - nm1 * (p * log(p) if p > 0.0 else 0.0) - h
+
+    return entropy
 
 
 def _entropy_stepped(n: int, p):
@@ -255,7 +271,7 @@ def inv_entropy_peaked(n: int, h):
     if is_array(h):
         p = _inv_peaked_newton(n, np.where(top, 0.0, h))  # as at h = 0, one node brackets a snapped h: no steps
     else:
-        p = root(lambda p: _entropy_peaked(n, p) - h, 0.0, 1.0 / n)
+        p = root(_peaked_entropy(n, h), 0.0, 1.0 / n)
     return _where(h <= 0.0, 0.0, _where(top, 1.0 / n, p))
 
 
@@ -295,7 +311,7 @@ def dnorm_dh_peaked(n: int, p: float, alpha: float) -> float:
     0 or +inf depending on alpha and are the caller's business.
     """
     _check_inside(n, p, alpha)
-    return _norm_slope(n, p, alpha)[1]
+    return _norm_slope(n, alpha)(p)[1]
 
 
 def _check_inside(n: int, p: float, alpha: float) -> None:
@@ -306,16 +322,35 @@ def _check_inside(n: int, p: float, alpha: float) -> None:
         raise DomainError(f"p={p!r} outside the open interval (0, 1/{n})")
 
 
-def _norm_slope(n: int, p: float, alpha: float) -> tuple[float, float]:
-    """(norm_peaked, dnorm_dh_peaked) at p from one power sum, its shift c taken out of every power; unchecked."""
-    q = 1.0 - (n - 1) * p
-    norm, c, s = _norm(n, alpha, (q, p), (1.0, n - 1))
-    try:
-        d = s ** (1.0 / alpha - 1.0) * ((p / c) ** (alpha - 1.0) - (q / c) ** (alpha - 1.0))
-        d /= math.log(q) - math.log(p)
-    except (OverflowError, ZeroDivisionError):
-        d = math.inf
-    return norm, _finite(d, alpha)
+def _norm_slope(n: int, alpha: float):
+    """p -> (norm_peaked, dnorm_dh_peaked) at a float p in (0, 1/n), unchecked; (n, alpha)'s constants worked out once.
+
+    One power sum gives both, its shift c taken out of every power, by the
+    operations of _norm over (q, p) in the same order: the same doubles.
+    slope=False computes the norm alone, also at p = 0, and gives 0.0 for the slope.
+    DomainError naming the order where either is not a finite double.
+    """
+    nm1 = float(n - 1)
+    shift = alpha > 1.0 and alpha * math.log(n) > _LOG_TINY  # _power_sum's
+    inv, e, am1 = 1.0 / alpha, 1.0 / alpha - 1.0, alpha - 1.0
+    log, inf = math.log, math.inf
+
+    def norm_slope(p, slope=True):
+        q = 1.0 - nm1 * p
+        c = max(q, p) if shift else 1.0
+        s = (q / c) ** alpha + nm1 * (p / c) ** alpha
+        d = 0.0
+        try:
+            norm = c * s**inv
+            if slope:
+                d = s**e * ((p / c) ** am1 - (q / c) ** am1) / (log(q) - log(p))
+        except (OverflowError, ZeroDivisionError):
+            norm = d = inf
+        if norm < inf and -inf < d < inf:
+            return norm, d
+        return _finite(norm, alpha), _finite(d, alpha)  # one of them is not: the order's DomainError
+
+    return norm_slope
 
 
 def curvature_sign(n: int, p: float, alpha: float) -> float:
@@ -329,13 +364,24 @@ def curvature_sign(n: int, p: float, alpha: float) -> float:
     _check_n(n)
     if not (0.0 < p < 1.0 / (n - 1)):
         raise DomainError(f"p={p!r} outside (0, 1/{n - 1})")
-    z = (1.0 - (n - 1) * p) / p
-    logz = math.log(z)
-    if logz == 0.0:
-        raise DomainError(f"p={p!r} sits at the pole p = 1/n of the curvature function")
-    num = ((n - 1) + _exp(alpha * logz)) * _expm1((1.0 - alpha) * logz)
-    den = ((n - 1) + z) * logz
-    return (alpha - 1.0) + num / den
+    return _curvature(n, alpha)(p)
+
+
+def _curvature(n: int, alpha: float):
+    """p -> curvature_sign(n, p, alpha) for a float p in (0, 1/(n-1)), unchecked, the constants worked out once."""
+    nm1, am1, oma = float(n - 1), alpha - 1.0, 1.0 - alpha
+    log, exp, expm1, inf = math.log, math.exp, math.expm1, math.inf
+
+    def curvature(p):
+        z = (1.0 - nm1 * p) / p
+        logz = log(z)
+        if logz == 0.0:
+            raise DomainError(f"p={p!r} sits at the pole p = 1/n of the curvature function")
+        a, b = alpha * logz, oma * logz
+        num = (nm1 + (exp(a) if a < _EXP_MAX else inf)) * (expm1(b) if b < _EXP_MAX else inf)
+        return am1 + num / ((nm1 + z) * logz)
+
+    return curvature
 
 
 InflectionPoint = namedtuple("InflectionPoint", "n alpha h p")
@@ -366,7 +412,7 @@ def _inflection_cached(n: int, alpha: float) -> InflectionPoint:
     # for very large alpha the zero crowds the endpoint and the probes move in.
     probes = ((1.0 / n) * (1.0 - delta) for delta in _INFLECTION_GAPS)
     lo = 1.0 / (n * (n - 1))
-    p = _bracketed_root(lambda p: curvature_sign(n, p, alpha), lo, probes, n, alpha, "the curvature")
+    p = _bracketed_root(_curvature(n, alpha), lo, probes, n, alpha, "the curvature")
     return InflectionPoint(n=n, alpha=alpha, h=entropy_peaked(n, p), p=p)
 
 
@@ -377,26 +423,32 @@ def tangent_residual(n: int, p: float, alpha: float) -> float:
     through the uniform endpoint (ln n, n^(1/alpha-1)).
     """
     _check_inside(n, p, alpha)
-    return _residual(n, p, alpha, norm_uniform(n, alpha))
+    return _tangency(n, alpha, norm_uniform(n, alpha))(p)
 
 
-def _residual(n: int, p: float, alpha: float, u: float) -> float:
-    """tangent_residual with the uniform endpoint's norm u given, which a solve computes once.
+def _tangency(n: int, alpha: float, u: float):
+    """p -> tangent_residual(n, p, alpha), the uniform endpoint's norm u given; unchecked, as every step of a solve
+    stays inside _check_inside's domain."""
+    lnn, entropy, norm_slope = math.log(n), _peaked_entropy(n), _norm_slope(n, alpha)
 
-    Unchecked: every step of a solve stays inside _check_inside's domain."""
-    norm, slope = _norm_slope(n, p, alpha)
-    return (math.log(n) - _entropy_peaked(n, p)) * slope - (u - norm)
+    def residual(p):
+        norm, slope = norm_slope(p)
+        return (lnn - entropy(p)) * slope - (u - norm)
+
+    return residual
 
 
 def solve_tangent_generic(n: int, alpha: float) -> float:
     """Find the tangency parameter by a bracketed root solve, with no closed-form shortcuts.
 
     Brackets the unique root of tangent_residual between ~0 and the
-    inflection parameter. Needs n >= 3.
+    inflection parameter. Every step evaluates the residual's kernel, which
+    _tangency prepares once per solve: the same doubles as tangent_residual.
+    Needs n >= 3.
     """
     hi = inflection_point(n, alpha).p  # checks n >= 3 and the order
-    u = norm_uniform(n, alpha)
-    return _bracketed_root(lambda p: _residual(n, p, alpha, u), hi, _TANGENT_PROBES, n, alpha, "the tangency residual")
+    residual = _tangency(n, alpha, norm_uniform(n, alpha))
+    return _bracketed_root(residual, hi, _TANGENT_PROBES, n, alpha, "the tangency residual")
 
 
 @lru_cache(maxsize=None)

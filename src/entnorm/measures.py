@@ -45,6 +45,13 @@ class JointDist(namedtuple("JointDist", "py rows")):
         return self.rows.shape[1]
 
 
+def _derived_joint(py, rows) -> JointDist:
+    """A JointDist of py and rows built from distributions already checked: made read-only arrays, not checked again."""
+    py, rows = np.asarray(py, dtype=float), np.asarray(rows, dtype=float)
+    py.flags.writeable = rows.flags.writeable = False
+    return tuple.__new__(JointDist, (py, rows))
+
+
 class Channel(namedtuple("Channel", "transitions")):
     """Transition matrix of a DMC, shape (n_in, n_out): one row of output probabilities per input."""
 
@@ -109,7 +116,7 @@ def joint_from_channel_uniform(channel: Channel) -> JointDist:
     mass = t.sum(axis=0)  # n P(y)
     kept = mass > 0.0
     mass = mass[kept]
-    return JointDist(py=mass / mass.sum(), rows=t[:, kept].T / mass[:, None])
+    return _derived_joint(mass / mass.sum(), t[:, kept].T / mass[:, None])
 
 
 def arimoto_mutual_uniform(channel: Channel, alpha: float) -> float:

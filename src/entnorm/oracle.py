@@ -17,7 +17,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from . import bounds, curves
-from .measures import JointDist
+from .measures import JointDist, _derived_joint
 from .simplex import DomainError, NumericalError, alpha_norm, make_peaked, make_stepped, make_uniform, shannon_entropy
 from .simplex import np
 
@@ -49,9 +49,9 @@ def witness_min(n: int, h: float) -> JointDist:
     curves._check_n(n)
     m, lam = bounds._lower_chord(n, curves.clamp_entropy(n, h))
     if m >= n:
-        return JointDist(py=(1.0,), rows=(make_uniform(n),))
+        return _derived_joint((1.0,), (make_uniform(n),))
     rows = (make_stepped(n, 1.0 / m), make_stepped(n, 1.0 / (m + 1)))
-    return JointDist(py=(lam, 1.0 - lam), rows=rows)
+    return _derived_joint((lam, 1.0 - lam), rows)
 
 
 def witness_max(n: int, alpha: float, h: float) -> JointDist:
@@ -65,9 +65,9 @@ def witness_max(n: int, alpha: float, h: float) -> JointDist:
     h = curves.clamp_entropy(n, h)
     if h <= ts.h:
         row = make_peaked(n, curves.inv_entropy_peaked(n, h))
-        return JointDist(py=(1.0,), rows=(row,))
+        return _derived_joint((1.0,), (row,))
     lam = (lnn - h) / (lnn - ts.h)
-    return JointDist(py=(lam, 1.0 - lam), rows=(make_peaked(n, ts.p), make_uniform(n)))
+    return _derived_joint((lam, 1.0 - lam), (make_peaked(n, ts.p), make_uniform(n)))
 
 
 def _sample_simplex(rng: np.random.Generator, *shape: int) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mpref
-from entnorm import curves
+from entnorm import bounds, cli, curves, simplex
 from entnorm.curves import (
     InflectionPoint,
     curvature_sign,
@@ -513,3 +513,118 @@ class TestAgainstMpref:
         want_tangent, want_inflection = mpref.tangent_p(n, alpha), mpref.inflection_p(n, alpha)
         assert abs(tangent_point(n, alpha).p - want_tangent) <= 5e-13 * want_tangent
         assert abs(inflection_point(n, alpha).p - want_inflection) <= 5e-13 * want_inflection
+
+
+def _bits(value):
+    """A float as its exact bits, so that NaN and -0.0 compare too; anything else as it is."""
+    return value.hex() if isinstance(value, float) else value
+
+
+def _outcome(f, *args):
+    """What f(*args) gives: its value, each float as _bits, or the text of the DomainError it raises."""
+    try:
+        value = f(*args)
+    except DomainError as exc:
+        return str(exc)
+    return tuple(map(_bits, value)) if isinstance(value, tuple) else _bits(value)
+
+
+class TestPreparedKernels:
+    """Every step of a float solve evaluates a kernel prepared once per solve. These tests keep copies of the
+    compositions the kernels replaced, through simplex._norm and curves._entropy_peaked, and ask for the same double
+    at every point, and so for the same roots and the same refusals. Both sides are computed at run time, so no
+    libm difference between machines can fail them."""
+
+    NS = (3, 8, 100, 10**4, 10**6)
+    # (10^4, 300) and 10^3 take _power_sum's shift; 1 +- 1e-7 is where the residual flattens to rounding
+    ORDERS = (0.5 + 1e-7, 0.7, 1 - 1e-4, 1 + 1e-4, 1 - 1e-7, 1 + 1e-7, 2.0, 50.0, 300.0, 1e3)
+
+    @staticmethod
+    def norm_slope(n, p, alpha):
+        """(norm, dnorm/dh) of the peaked curve at p, composed from simplex._norm."""
+        q = 1.0 - (n - 1) * p
+        norm, c, s = simplex._norm(n, alpha, (q, p), (1.0, n - 1))
+        try:
+            d = s ** (1.0 / alpha - 1.0) * ((p / c) ** (alpha - 1.0) - (q / c) ** (alpha - 1.0))
+            d /= math.log(q) - math.log(p)
+        except (OverflowError, ZeroDivisionError):
+            d = math.inf
+        return norm, simplex._finite(d, alpha)
+
+    @classmethod
+    def residual(cls, n, p, alpha, u):
+        """(ln n - H(p)) * slope - (u - norm), with H from curves._entropy_peaked."""
+        norm, slope = cls.norm_slope(n, p, alpha)
+        return (math.log(n) - curves._entropy_peaked(n, p)) * slope - (u - norm)
+
+    @staticmethod
+    def curvature(n, p, alpha):
+        """curvature_sign's formula, z = q/p."""
+        z = (1.0 - (n - 1) * p) / p
+        logz = math.log(z)
+        a, b = alpha * logz, (1.0 - alpha) * logz
+        num = ((n - 1) + (math.exp(a) if a < 709.0 else math.inf)) * (math.expm1(b) if b < 709.0 else math.inf)
+        return (alpha - 1.0) + num / (((n - 1) + z) * logz)
+
+    @staticmethod
+    def ps(n):
+        """p across (0, 1/n): the underflow end, tiny tails, the interior and next to 1/n."""
+        return (1e-300, 1e-30, 1e-12 / n) + tuple((1.0 / n) * t for t in np.linspace(0.01, 0.99, 25).tolist()) + \
+            ((1.0 / n) * (1.0 - 1e-9), (1.0 / n) * (1.0 - 1e-15))
+
+    @classmethod
+    def solve(cls, n, alpha):
+        """(inflection p, tangency p) solved through the copies, each a float or a refusal's text."""
+        probes = [(1.0 / n) * (1.0 - delta) for delta in curves._INFLECTION_GAPS]
+        inflection = _outcome(curves._bracketed_root, lambda p: cls.curvature(n, p, alpha), 1.0 / (n * (n - 1)),
+                              probes, n, alpha, "the curvature")
+        if not inflection.startswith("0x"):
+            return inflection, inflection
+        u = norm_uniform(n, alpha)
+        return inflection, _outcome(curves._bracketed_root, lambda p: cls.residual(n, p, alpha, u),
+                                    float.fromhex(inflection), curves._TANGENT_PROBES, n, alpha,
+                                    "the tangency residual")
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    @pytest.mark.parametrize("n", NS)
+    def test_kernels_give_the_same_doubles(self, n, alpha):
+        u = norm_uniform(n, alpha)
+        residual, norm_slope = curves._tangency(n, alpha, u), curves._norm_slope(n, alpha)
+        curvature, entropy = curves._curvature(n, alpha), curves._peaked_entropy(n)
+        for p in self.ps(n):
+            want = _outcome(self.residual, n, p, alpha, u)
+            assert _outcome(residual, p) == _outcome(tangent_residual, n, p, alpha) == want, p
+            want = _outcome(self.norm_slope, n, p, alpha)
+            assert _outcome(norm_slope, p) == want, p
+            assert _outcome(dnorm_dh_peaked, n, p, alpha) == (want[1] if isinstance(want, tuple) else want), p
+            assert _outcome(lambda: norm_slope(p, False)[0]) == _outcome(norm_peaked, n, p, alpha), p
+            assert _bits(entropy(p)) == _bits(curves._entropy_peaked(n, p)), p
+            want = _bits(self.curvature(n, p, alpha))
+            assert _bits(curvature(p)) == _bits(curvature_sign(n, p, alpha)) == want, p
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    @pytest.mark.parametrize("n", NS)
+    def test_solves_give_the_same_roots(self, n, alpha):
+        inflection, tangency = self.solve(n, alpha)
+        assert _outcome(lambda: inflection_point(n, alpha).p) == inflection
+        assert _outcome(lambda: tangent_point(n, alpha).p) == _outcome(solve_tangent_generic, n, alpha) == tangency
+
+    @pytest.mark.parametrize("n", (2,) + NS)
+    def test_float_inverses_give_the_same_roots(self, n):
+        for h in (1e-300, 1e-30, 1e-6) + tuple(LN(n) * t for t in (0.05, 0.3, 0.7, 0.99, 1.0 - 1e-9)):
+            want = root(lambda p: curves._entropy_peaked(n, p) - h, 0.0, 1.0 / n)
+            assert _bits(inv_entropy_peaked(n, h)) == _bits(want), h
+        for alpha in self.ORDERS:
+            rising, u = (1.0 if alpha < 1.0 else -1.0), norm_uniform(n, alpha)
+            for t in (1e-3, 0.3, 0.9, 0.999):
+                norm = 1.0 + t * (u - 1.0)
+                want = root(lambda p: rising * (norm_peaked(n, p, alpha) - norm), 0.0, 1.0 / n)
+                assert _bits(bounds._peaked_p_at_norm(n, alpha, norm, 1.0 / n)) == _bits(want), (alpha, t)
+
+    def test_refusal_at_order_1e10_is_unchanged(self, capsys):
+        # the residual changes sign one ulp from the inflection point, so this refusal rests on its last bit
+        n, alpha = 3, 1e10
+        inflection, tangency = self.solve(n, alpha)
+        assert tangency.startswith("unsupported order alpha=10000000000.0 for n=3: no sign change of the tangency")
+        assert cli.main(["tangent", "--n", "3", "--alpha", "1e10"]) == 1
+        assert capsys.readouterr().err == f"ent-norm: error: {tangency}\n"
