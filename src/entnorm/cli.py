@@ -232,10 +232,11 @@ def cmd_channel(args) -> int:
     return EXIT_OK
 
 
-@functools.cache  # argparse keeps no state between parse_args calls
+@functools.cache  # argparse keeps no state between parse_args calls, of the subparsers either
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ent-norm", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's parser by name, as the top-level parser looks it up: main's table
 
     def command(name, func, help, *, n=True, rho=False):
         """A subcommand with --n unless n is false, --alpha (or, with rho, either --alpha or --rho) and --bits."""
@@ -281,8 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line; its exit code. One that starts with a command's name goes straight to that command's
+    parser, where the top-level parser would send all of it; the top-level parser serves no arguments, help and
+    unknown commands."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        command = parser.commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         return args.func(args)
     except (UsageError, DomainError, NumericalError) as exc:
         print(f"ent-norm: error: {exc}", file=sys.stderr)

@@ -144,20 +144,21 @@ _INFLECTION_GAPS = tuple(math.prod((1e-9,) + (1e-2,) * k) for k in range(4))  # 
 _TANGENT_PROBES = tuple(math.prod((1e-14,) + (1e-4,) * k) for k in range(6))  # 1e-14 ... 1e-34
 
 
-def _bracketed_root(f, fixed: float, probes, n: int, alpha: float, what: str) -> float:
-    """The root of f, solved between fixed and the first probe where f has the other sign.
+def _bracketed_root(g, fixed: float, probes, n: int, alpha: float, what: str, sign: float = 1.0) -> float:
+    """The root of f = sign * g, solved between fixed and the first probe where f has the other sign.
 
-    f is the solve's prepared kernel; root gets it as it is where it rises
-    from lo to hi, else negated, which is exact. DomainError naming the
-    order when no probe has the other sign: doubles cannot bracket the root.
+    g is the solve's prepared kernel: a caller who knows that f falls hands
+    it over negated. root gets g as it is where g rises from lo to hi, else
+    negated; every product with +-1 is exact. DomainError naming the order
+    and f's values when no probe has the other sign: doubles cannot bracket the root.
     """
-    f_fixed = f(fixed)
+    f_fixed = sign * g(fixed)
     for probe in probes:
-        f_probe = f(probe)
+        f_probe = sign * g(probe)
         if (f_probe < 0.0) != (f_fixed < 0.0):  # the signs themselves: a product of the two can underflow
             lo, hi, f_lo, f_hi = (probe, fixed, f_probe, f_fixed) if probe < fixed else (fixed, probe, f_fixed, f_probe)
-            s = 1.0 if f_lo < 0.0 else -1.0  # root needs f rising; multiplying by +-1 is exact
-            return root(f if s > 0.0 else lambda p: s * f(p), lo, hi, s * f_lo, s * f_hi)
+            s = 1.0 if f_lo < 0.0 else -1.0  # root needs f rising
+            return root(g if s == sign else lambda p: -g(p), lo, hi, s * f_lo, s * f_hi)
     raise DomainError(
         f"unsupported order alpha={alpha!r} for n={n}: no sign change of {what} brackets the root in double "
         f"precision, f({fixed!r})={f_fixed!r}, f({probe!r})={f_probe!r}"
@@ -426,14 +427,14 @@ def tangent_residual(n: int, p: float, alpha: float) -> float:
     return _tangency(n, alpha, norm_uniform(n, alpha))(p)
 
 
-def _tangency(n: int, alpha: float, u: float):
-    """p -> tangent_residual(n, p, alpha), the uniform endpoint's norm u given; unchecked, as every step of a solve
-    stays inside _check_inside's domain."""
+def _tangency(n: int, alpha: float, u: float, sign: float = 1.0):
+    """p -> sign * tangent_residual(n, p, alpha), the uniform endpoint's norm u given; unchecked, as every step of a
+    solve stays inside _check_inside's domain."""
     lnn, entropy, norm_slope = math.log(n), _peaked_entropy(n), _norm_slope(n, alpha)
 
     def residual(p):
         norm, slope = norm_slope(p)
-        return (lnn - entropy(p)) * slope - (u - norm)
+        return sign * ((lnn - entropy(p)) * slope - (u - norm))
 
     return residual
 
@@ -447,8 +448,8 @@ def solve_tangent_generic(n: int, alpha: float) -> float:
     Needs n >= 3.
     """
     hi = inflection_point(n, alpha).p  # checks n >= 3 and the order
-    residual = _tangency(n, alpha, norm_uniform(n, alpha))
-    return _bracketed_root(residual, hi, _TANGENT_PROBES, n, alpha, "the tangency residual")
+    falling = _tangency(n, alpha, norm_uniform(n, alpha), -1.0)  # the residual falls from the tiny-p probes to hi
+    return _bracketed_root(falling, hi, _TANGENT_PROBES, n, alpha, "the tangency residual", -1.0)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entnorm.cli import main
+from entnorm.cli import UsageError, build_parser, main
 from entnorm.measures import cond_shannon, expected_alpha_norm
 from entnorm.oracle import witness_max, witness_min
 
@@ -664,3 +664,86 @@ def test_any_argv_exits_with_a_documented_code(fuzz_files):
             assert err.getvalue().count("\n") == 1 and out.getvalue() == "", (argv, err.getvalue())
 
     check()
+
+
+# Command lines for both parse paths: help, no command, unknown commands, "--" on either side of the command,
+# unknown, duplicate, abbreviated and conflicting flags, bad types, extra positionals and runs that answer.
+# "{measures}" and "{channel}" name a fuzz file.
+_DISPATCH_CORPUS = [
+    [], ["-h"], ["--help"], ["--he"], ["--h"], ["-h", "eval"], ["--bits"], ["--n", "8", "tangent"],
+    ["frobnicate"], ["frobnicate", "--n", "8"], ["Eval"], ["ev", "--n", "8", "--alpha", "2", "--h", "1"],
+    ["--", "tangent", "--n", "8", "--alpha", "2"], ["tangent", "--", "--n", "8", "--alpha", "2"],
+    ["tangent", "--n", "8", "--alpha", "2", "--"], ["tangent", "--n", "8", "--", "--alpha", "2"],
+    *([cmd, flag] for cmd in ("curve", "eval", "tangent", "verify", "measures", "channel") for flag in ("-h", "--he")),
+    ["tangent", "--n", "8", "-h"], ["eval", "-h", "--zzz"],
+    ["tangent", "--n", "8", "--alpha", "2"], ["tangent", "--n=8", "--alpha=2", "--bits"],
+    ["tangent", "--n", "8", "--alpha", "2", "--zzz"], ["tangent", "--n", "8", "--n", "9", "--alpha", "2"],
+    ["tangent", "--n", "8", "--al", "2", "--b"], ["tangent", "--n", "8", "--alpha", "2", "extra"],
+    ["tangent", "extra", "--n", "8", "--alpha", "2"], ["tangent"], ["tangent", "--n", "x", "--alpha", "2"],
+    ["eval", "--n", "8", "--alpha", "2", "--h", "1"], ["eval", "--n", "8", "--alpha", "2"],
+    ["eval", "--n", "8", "--alpha", "2", "--h", "1", "--N", "2"],
+    ["eval", "--n", "8", "--alpha", "2", "--rho", "1", "--h", "1"],
+    ["eval", "--n", "8", "--alpha", "2", "--h", "-1"], ["eval", "--n", "8", "--alpha", "0.5", "--N=-inf"],
+    ["eval", "--n", "5", "--rho", "1", "--i", "1.2"], ["eval", "--n", "8", "--alpha", "1", "--h", "1"],
+    ["curve", "--n", "4", "--alpha", "2", "--grid", "5"], ["curve", "--n", "4", "--alpha", "2", "--grid", "1.5"],
+    ["curve", "--n", "4", "--alpha", "2", "--grid", "5", "--format", "xml"],
+    ["curve", "--n", "4", "--alpha", "2", "--grid", "5", "--fo", "json"],
+    ["verify", "--n", "4", "--alpha", "2", "--samples", "50", "--seed", "1"],
+    ["verify", "--n", "4", "--alpha", "2", "--samples", "0"],
+    ["measures", "--alpha", "2", "--input", "{measures}"], ["measures", "--alpha", "2", "--input", "/nonexistent"],
+    ["measures", "--alpha", "2"], ["channel", "--rho", "0.5", "--input", "{channel}"],
+    ["channel", "--alpha", "2", "--rho", "1", "--input", "{channel}"], ["channel", "--input", "{channel}", "--n", "3"],
+]
+
+
+def _main_outcome(argv):
+    """main(argv)'s exit code (or ("SystemExit", code) where it raised that), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _namespace(parse, argv):
+    """The repr of the namespace parse gives argv, without `command` (repr tells a NaN and -0.0 apart), or the
+    UsageError's text."""
+    try:
+        found = vars(parse(argv))
+    except UsageError as exc:
+        return str(exc)
+    found.pop("command", None)
+    return repr(sorted(found.items()))
+
+
+class TestDispatch:
+    """main sends a command line to its command's parser directly: every outcome is the top-level parser's."""
+
+    @pytest.mark.parametrize("argv", _DISPATCH_CORPUS, ids=" ".join)
+    def test_main_matches_the_top_level_parser(self, fuzz_files, monkeypatch, argv):
+        argv = [a.format(measures=fuzz_files["measures"][1], channel=fuzz_files["channel"][1]) for a in argv]
+        direct = _main_outcome(argv)
+        monkeypatch.setattr(build_parser(), "commands", {})  # no command found: all of argv to the top level
+        assert direct == _main_outcome(argv)
+        if "-h" in argv[:2]:
+            assert direct[0] == ("SystemExit", 0) and direct[1].startswith("usage: ent-norm") and direct[2] == ""
+
+    def test_fuzzed_argv_parse_to_the_same_namespace(self, fuzz_files):
+        parser = build_parser()
+
+        @settings(max_examples=300)
+        @given(_argv(fuzz_files))
+        def check(argv):
+            assert _namespace(parser.commands[argv[0]].parse_args, argv[1:]) == _namespace(parser.parse_args, argv)
+
+        check()
+
+    def test_main_after_the_parser_cache_is_cleared(self):
+        argv = ["tangent", "--n", "8", "--alpha", "2"]
+        before, old = _main_outcome(argv), build_parser()
+        build_parser.cache_clear()  # as perfbench does before every pass
+        assert _main_outcome(argv) == before and before[0] == 0
+        new = build_parser()
+        assert new is not old and new.commands["tangent"] is not old.commands["tangent"]
