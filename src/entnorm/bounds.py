@@ -159,10 +159,9 @@ def _peaked_p_at_norm(n: int, alpha: float, norm: float, p_hi: float) -> float:
     The end p_hi, which may be 1/n, goes through norm_peaked; every other
     point through the norm kernel curves prepares once per solve.
     """
-    rising = 1.0 if alpha < 1.0 else -1.0  # the norm rises with p below order 1
     norm_slope = curves._norm_slope(n, alpha)
-    f_hi = rising * (curves.norm_peaked(n, p_hi, alpha) - norm)
-    return curves.root(lambda p: rising * (norm_slope(p, False)[0] - norm), 0.0, p_hi, None, f_hi)
+    f_hi = curves.norm_peaked(n, p_hi, alpha) - norm
+    return curves.root(lambda p: norm_slope(p, False)[0] - norm, 0.0, p_hi, None, f_hi)
 
 
 def entropy_range_for_norm(n: int, alpha: float, norm: float) -> tuple[float, float]:
@@ -176,9 +175,7 @@ def entropy_range_for_norm(n: int, alpha: float, norm: float) -> tuple[float, fl
     curves._check_order(alpha)
     norm = _check_norm(n, alpha, norm)
     h_peaked = curves.entropy_peaked(n, _peaked_p_at_norm(n, alpha, norm, 1.0 / n))
-    # the stepped norm runs against the peaked one as p grows
-    rising = 1.0 if alpha < 1.0 else -1.0
-    pp = curves.root(lambda p: rising * (norm - curves.norm_stepped(n, p, alpha)), 1.0 / n, 1.0)
+    pp = curves.root(lambda p: curves.norm_stepped(n, p, alpha) - norm, 1.0 / n, 1.0)
     h_stepped = curves.entropy_stepped(n, pp)
     return (h_peaked, h_stepped) if alpha < 1.0 else (h_stepped, h_peaked)
 

@@ -62,23 +62,24 @@ def clamp_entropy(n: int, h, name: str = "h"):
 
 
 def root(f, lo, hi, f_lo=None, f_hi=None, df=None, x0=None):
-    """Where the rising f crosses from negative to non-negative in [lo, hi]; a caller negates a falling f.
+    """A root of f in [lo, hi], where f(lo) and f(hi) lie on opposite sides of zero.
 
-    f_lo and f_hi are f at the ends, where the caller has them. f may map an
-    array to an array: then each element's bracket is halved _HALVINGS
-    times, unless the caller gives f's derivative df and a start x0. Then
-    each element takes a Newton step where it stays inside the element's
-    bracket, and a halving where it leaves it (the rtsafe pattern); a step
-    under half an ulp moves to the neighbouring double instead, so that the
-    bracket closes from both sides. The solve stops once every bracket is
-    down to adjacent doubles, or two adjacent zeros of f, or after _HALVINGS
-    steps. A float solve takes Illinois false-position steps (Dowell &
-    Jarratt, 1971) inside the bracket, and a plain halving instead after two
-    steps that have not halved it, or where only halvings from here would
-    narrow it to the floor within 2 * _HALVINGS steps. It stops at adjacent
-    doubles, at the floor, the width _HALVINGS halvings leave, or at an
-    exact zero of f, which it returns. A NaN from f moves the same end as it
-    does in a halving. The float solves of this package pass f as a kernel
+    A float f may run either way: root reads the direction from f(lo), and f
+    falls unless f(lo) < 0. An array f must rise. f_lo and f_hi are f at the
+    ends, where the caller has them. For an array f each element's bracket is
+    halved _HALVINGS times, unless the caller gives f's derivative df and a
+    start x0. Then each element takes a Newton step where it stays inside the
+    element's bracket, and a halving where it leaves it (the rtsafe pattern);
+    a step under half an ulp moves to the neighbouring double instead, so
+    that the bracket closes from both sides. The solve stops once every
+    bracket is down to adjacent doubles, or two adjacent zeros of f, or after
+    _HALVINGS steps. A float solve takes Illinois false-position steps
+    (Dowell & Jarratt, 1971) inside the bracket, and a plain halving instead
+    after two steps that have not halved it, or where only halvings from here
+    would narrow it to the floor within 2 * _HALVINGS steps. It stops at
+    adjacent doubles, at the floor, the width _HALVINGS halvings leave, or at
+    an exact zero of f, which it returns. A NaN from f moves hi, as it does
+    in a halving. The float solves of this package pass f as a kernel
     prepared once per solve (_tangency, _curvature, _peaked_entropy,
     _norm_slope): the same arithmetic as the public functions, so the same
     roots.
@@ -114,6 +115,7 @@ def root(f, lo, hi, f_lo=None, f_hi=None, df=None, x0=None):
     f_hi = f(hi) if f_hi is None else f_hi
     if f_lo == 0.0 or f_hi == 0.0:
         return lo if f_lo == 0.0 else hi
+    rising = f_lo < 0.0  # read once: an Illinois halving can round a tiny f_lo to zero
     floor, budget = (hi - lo) * 2.0**-_HALVINGS, (hi - lo) * 2.0**_HALVINGS
     ref, kept, tries = hi - lo, 0, 0  # width to halve, end the last false-position step moved, steps since ref
     ulp = math.ulp
@@ -128,13 +130,14 @@ def root(f, lo, hi, f_lo=None, f_hi=None, df=None, x0=None):
         g = f(x)
         if g == 0.0:
             return x
-        if g < 0.0:
+        below = g < 0.0 if rising else g > 0.0  # x is on lo's side of the root; a NaN is on hi's
+        if below:
             lo, f_lo = x, g
             f_hi *= 0.5 if secant and kept < 0 else 1.0  # Illinois: halve the end that two steps kept
         else:
             hi, f_hi = x, g
             f_lo *= 0.5 if secant and kept > 0 else 1.0
-        kept = (-1 if g < 0.0 else 1) if secant else kept
+        kept = (-1 if below else 1) if secant else kept
         tries = tries + 1 if hi - lo > 0.5 * ref else 0
         ref = ref if tries else hi - lo
 
@@ -144,21 +147,19 @@ _INFLECTION_GAPS = tuple(math.prod((1e-9,) + (1e-2,) * k) for k in range(4))  # 
 _TANGENT_PROBES = tuple(math.prod((1e-14,) + (1e-4,) * k) for k in range(6))  # 1e-14 ... 1e-34
 
 
-def _bracketed_root(g, fixed: float, probes, n: int, alpha: float, what: str, sign: float = 1.0) -> float:
-    """The root of f = sign * g, solved between fixed and the first probe where f has the other sign.
+def _bracketed_root(f, fixed: float, probes, n: int, alpha: float, what: str) -> float:
+    """The root of f, solved by root between fixed and the first probe where f has the other sign.
 
-    g is the solve's prepared kernel: a caller who knows that f falls hands
-    it over negated. root gets g as it is where g rises from lo to hi, else
-    negated; every product with +-1 is exact. DomainError naming the order
-    and f's values when no probe has the other sign: doubles cannot bracket the root.
+    f is the solve's prepared kernel, rising or falling. DomainError naming
+    the order and f's values when no probe has the other sign: doubles
+    cannot bracket the root.
     """
-    f_fixed = sign * g(fixed)
+    f_fixed = f(fixed)
     for probe in probes:
-        f_probe = sign * g(probe)
+        f_probe = f(probe)
         if (f_probe < 0.0) != (f_fixed < 0.0):  # the signs themselves: a product of the two can underflow
             lo, hi, f_lo, f_hi = (probe, fixed, f_probe, f_fixed) if probe < fixed else (fixed, probe, f_fixed, f_probe)
-            s = 1.0 if f_lo < 0.0 else -1.0  # root needs f rising
-            return root(g if s == sign else lambda p: -g(p), lo, hi, s * f_lo, s * f_hi)
+            return root(f, lo, hi, f_lo, f_hi)
     raise DomainError(
         f"unsupported order alpha={alpha!r} for n={n}: no sign change of {what} brackets the root in double "
         f"precision, f({fixed!r})={f_fixed!r}, f({probe!r})={f_probe!r}"
@@ -424,17 +425,16 @@ def tangent_residual(n: int, p: float, alpha: float) -> float:
     through the uniform endpoint (ln n, n^(1/alpha-1)).
     """
     _check_inside(n, p, alpha)
-    return _tangency(n, alpha, norm_uniform(n, alpha))(p)
+    return _tangency(n, alpha)(p)
 
 
-def _tangency(n: int, alpha: float, u: float, sign: float = 1.0):
-    """p -> sign * tangent_residual(n, p, alpha), the uniform endpoint's norm u given; unchecked, as every step of a
-    solve stays inside _check_inside's domain."""
-    lnn, entropy, norm_slope = math.log(n), _peaked_entropy(n), _norm_slope(n, alpha)
+def _tangency(n: int, alpha: float):
+    """p -> tangent_residual(n, p, alpha), unchecked, as every step of a solve stays inside _check_inside's domain."""
+    lnn, u, entropy, norm_slope = math.log(n), norm_uniform(n, alpha), _peaked_entropy(n), _norm_slope(n, alpha)
 
     def residual(p):
         norm, slope = norm_slope(p)
-        return sign * ((lnn - entropy(p)) * slope - (u - norm))
+        return (lnn - entropy(p)) * slope - (u - norm)
 
     return residual
 
@@ -448,8 +448,7 @@ def solve_tangent_generic(n: int, alpha: float) -> float:
     Needs n >= 3.
     """
     hi = inflection_point(n, alpha).p  # checks n >= 3 and the order
-    falling = _tangency(n, alpha, norm_uniform(n, alpha), -1.0)  # the residual falls from the tiny-p probes to hi
-    return _bracketed_root(falling, hi, _TANGENT_PROBES, n, alpha, "the tangency residual", -1.0)
+    return _bracketed_root(_tangency(n, alpha), hi, _TANGENT_PROBES, n, alpha, "the tangency residual")
 
 
 @lru_cache(maxsize=None)

@@ -4,6 +4,7 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mpref
 from entnorm import bounds, cli, curves, simplex
@@ -424,11 +425,40 @@ class TestRoot:
             assert root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
             f, calls = self.counted(lambda x: x - 0.25)
             assert root(f, 0.0, 1.0) == 0.25  # the first false-position step lands on it
-        else:  # _bracketed_root negates a falling f for root
-            assert curves._bracketed_root(lambda p: -p, 0.0, (1.0,), 3, 2.0, "f") == 0.0
-            f, calls = self.counted(lambda p: 0.25 - p)
-            assert curves._bracketed_root(f, 0.0, (1.0,), 3, 2.0, "f") == 0.25
+        else:  # root reads the direction from f(lo)
+            assert root(lambda x: -x, 0.0, 1.0) == 0.0
+            assert root(lambda x: 1.0 - x, 0.0, 1.0) == 1.0
+            f, calls = self.counted(lambda x: 0.25 - x)
+            assert root(f, 0.0, 1.0) == 0.25
         assert len(calls) == 3
+
+    # falling float functions on [0, 1]: root gives each the bits of the rising route, root of -f with -f's ends
+    FALLING = {
+        "zero at lo": lambda x: -x,
+        "zero at hi": lambda x: 1.0 - x,
+        "zero on a false-position step": lambda x: 0.25 - x,
+        "NaN inside": lambda x: math.nan if 0.5 < x < 0.999 else math.exp(-30.0 * x) - 0.01,  # the first step is NaN
+        "NaN everywhere inside": lambda x: 1.0 if x == 0.0 else -1.0 if x == 1.0 else math.nan,
+        "convex, so Illinois halvings": lambda x: math.exp(-30.0 * x) - 0.01,
+    }
+
+    @staticmethod
+    def assert_negated_route(f, lo, hi, ends):
+        """root(f) and root(-f), each passed its values at the named ends: the same double."""
+        f_lo, f_hi = (f(lo) if "lo" in ends else None), (f(hi) if "hi" in ends else None)
+        want = root(lambda x: -f(x), lo, hi, *(None if v is None else -v for v in (f_lo, f_hi)))
+        assert root(f, lo, hi, f_lo, f_hi).hex() == want.hex()
+
+    @pytest.mark.parametrize("ends", [(), ("lo",), ("hi",), ("lo", "hi")])
+    @pytest.mark.parametrize("case", FALLING)
+    def test_falling_f_takes_the_negated_route(self, case, ends):
+        self.assert_negated_route(self.FALLING[case], 0.0, 1.0, ends)
+
+    @given(st.floats(1e-6, 1.0 - 1e-6), st.floats(0.05, 20.0), st.floats(-5.0, 5.0))
+    @settings(max_examples=300)
+    def test_falling_powers_take_the_negated_route(self, t, k, lo):
+        # t - (x - lo)^k falls from t to t - 1 on [lo, lo + 1]: concave for k > 1, convex for k < 1
+        self.assert_negated_route(lambda x: t - (x - lo) ** k, lo, lo + 1.0, ("lo", "hi"))
 
     def test_float_and_array_agree(self):
         f = lambda x: math.expm1(3.0 * x) - 0.5  # noqa: E731
@@ -589,7 +619,7 @@ class TestPreparedKernels:
     @pytest.mark.parametrize("n", NS)
     def test_kernels_give_the_same_doubles(self, n, alpha):
         u = norm_uniform(n, alpha)
-        residual, norm_slope = curves._tangency(n, alpha, u), curves._norm_slope(n, alpha)
+        residual, norm_slope = curves._tangency(n, alpha), curves._norm_slope(n, alpha)
         curvature, entropy = curves._curvature(n, alpha), curves._peaked_entropy(n)
         for p in self.ps(n):
             want = _outcome(self.residual, n, p, alpha, u)

@@ -316,6 +316,36 @@ class TestUpperScreen:
         assert sizes == [oracle._NODES, samples]
 
 
+def _slack_pin(reason):
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"ROADMAP item 12: {reason}")
+
+
+_SMALL_ORDER = "verify's slack at (2, 0.01) is 1e-9 * ||u_2|| = 6.3e20, while U and L here are 1 to 2.5"
+_NEAR_ORDER_1 = "verify's slack at (n, 1 - 1e-4) is 1.0e-9 * ||u_n||, twice the excess planted here"
+
+
+class TestSlackBlindSpots:
+    """verify judges every sample against 1e-9 * max(1, ||u_n||). Each row planted here lies off an envelope, so
+    the mathematics has a violation there, and the slack hides it: at small orders the slack dwarfs the norms, and
+    near order 1 it exceeds the planted excess. A slack that follows the sample turns these pins into XPASS."""
+
+    @pytest.mark.parametrize(
+        "n, alpha, hs, rel",
+        [
+            pytest.param(2, 0.01, (0.0, 1e-200), 1e-6, marks=_slack_pin(_SMALL_ORDER)),
+            pytest.param(3, 1.0 - 1e-4, (0.3,), 5e-10, marks=_slack_pin(_NEAR_ORDER_1)),
+            pytest.param(8, 1.0 - 1e-4, (1.5,), 5e-10, marks=_slack_pin(_NEAR_ORDER_1)),
+        ],
+    )
+    def test_planted_violations_count(self, n, alpha, hs, rel, monkeypatch):
+        h = np.repeat(hs, 2)
+        upper, lower = _EXACT_UPPER(n, alpha, h), bounds._envelope_lower_vec(n, alpha, h)
+        norm = np.where(np.arange(h.size) % 2 == 0, upper * (1.0 + rel), lower * (1.0 - rel))  # above U, below L
+        TestUpperScreen._plant(monkeypatch, h, norm)
+        got = verify_envelope(n, alpha, h.size, seed=0, y_size=1)
+        assert (got.violations_lower, got.violations_upper) == (h.size // 2, h.size // 2)  # 0 and 0 today
+
+
 class TestChunkMeasures:
     """The sliced evaluation of a verify chunk equals the kernels on the whole chunk, bit for bit."""
 
