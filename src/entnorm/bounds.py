@@ -139,7 +139,12 @@ def sandwich_norm(p, alpha: float):
     n = p.shape[-1]
     if n < 2:  # every point is the one-symbol (1,): [()] makes the norms of a single point floats
         return (np.ones(p.shape[:-1])[()], np.ones(p.shape[:-1])[()])
-    h = np.clip(shannon_entropy(p), 0.0, math.log(n))
+    return _sandwich_at(n, alpha, shannon_entropy(p))
+
+
+def _sandwich_at(n: int, alpha: float, h):
+    """sandwich_norm's (lower, upper) for points on n >= 2 symbols of entropy h, which is clipped to [0, ln n]."""
+    h = np.clip(h, 0.0, math.log(n))
     lo = curves.norm_stepped(n, curves.inv_entropy_stepped(n, h), alpha)
     hi = curves.norm_peaked(n, curves.inv_entropy_peaked(n, h), alpha)
     return (lo, hi)

@@ -97,7 +97,13 @@ def _bad_row(x) -> str:
 
 
 def _xlogx(x):
-    """x ln x, with 0 at x = 0, for a float or an array."""
+    """x ln x, with 0 at x = 0, for a float or an array.
+
+    The array form takes the log of np.where's fresh copy. The curve kernels
+    call it up to 128 times a request on a few thousand entries, where
+    shannon_entropy's np.errstate entry and NaN scan would cost more than
+    the copy they save.
+    """
     if is_array(x):
         return x * np.log(np.where(x > 0.0, x, 1.0))
     return x * math.log(x) if x > 0.0 else 0.0
@@ -159,9 +165,22 @@ def make_stepped(n: int, p: float) -> np.ndarray:
 def shannon_entropy(p):
     """-sum p_i ln p_i in nats over the last axis, with 0 ln 0 = 0.
 
-    p is an array-like of probability vectors (last axis).
+    p is an array-like of probability vectors (last axis). As verify's row
+    kernel it skips _xlogx's np.where copy and takes the log of p itself,
+    unit-stride as that copy was: numpy's SIMD log rounds a reversed view
+    differently, so a view that is not contiguous is first copied in its own
+    axis order. A row with an entry not above 0 sums to NaN here and is
+    redone through _xlogx, so every value and sign bit is _xlogx's.
     """
-    return -_xlogx(np.asarray(p, dtype=float)).sum(axis=-1)
+    p = np.asarray(p, dtype=float)
+    x = p if p.flags.forc else p.copy(order="K")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.log(x)
+        t *= p
+    s = t.sum(axis=-1)
+    if np.isnan(s).any():  # 0 ln 0 = 0 * -inf; a negative or NaN entry
+        s = _xlogx(p).sum(axis=-1)
+    return -s
 
 
 def _power_sum(n: int, alpha: float, values, weights=None):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entnorm import bounds, curves, oracle
+from entnorm import bounds, curves, oracle, simplex
 from entnorm.bounds import (
     cond_entropy_range_for_norm,
     envelope_lower,
@@ -21,7 +21,7 @@ from entnorm.oracle import (
     witness_max,
     witness_min,
 )
-from entnorm.simplex import DomainError, NumericalError, alpha_norm, shannon_entropy
+from entnorm.simplex import DomainError, NumericalError
 
 LN = math.log
 
@@ -189,9 +189,42 @@ class TestVerifySandwich:
             raise AssertionError("drew a point")
 
         monkeypatch.setattr(oracle, "_sample_simplex", drawn)
+        monkeypatch.setattr(oracle, "_chunk_rng", drawn)  # every chunk's generator, so every draw
         with pytest.raises(DomainError) as info:
             oracle.verify_sandwich(n, alpha, samples, seed=0)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("n", [2, 3, 1000])
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, math.inf])
+    def test_excesses_match_the_whole_chunk(self, n, alpha, monkeypatch):
+        monkeypatch.setattr(oracle, "_CHUNK", 1000)  # three chunks, the last partial; 16 blocks a chunk at n = 1000
+        got = []
+        real_tally = oracle._tally
+
+        def kept(samples, seed, chunk, slack, excesses):
+            return real_tally(samples, seed, chunk, slack, lambda *a: got.append(excesses(*a)) or got[-1])
+
+        monkeypatch.setattr(oracle, "_tally", kept)
+        oracle.verify_sandwich(n, alpha, 2500, seed=4)
+        assert len(got) == 3
+        for chunk_index, (lower, upper) in enumerate(got):
+            pts = oracle._sample_simplex(oracle._chunk_rng(4, chunk_index), 1000 if chunk_index < 2 else 500, n)
+            h = np.clip(_whole_entropy(pts), 0.0, LN(n))
+            lo = curves.norm_stepped(n, curves.inv_entropy_stepped(n, h), alpha)
+            hi = curves.norm_peaked(n, curves.inv_entropy_peaked(n, h), alpha)
+            x = _whole_norm(pts, alpha)
+            assert _same_bits(lower, lo - x) and _same_bits(upper, x - hi)
+
+    def test_memory_does_not_grow_with_the_chunk(self):
+        # one full chunk of 16384 points on 1000 symbols: 131 MB of points if held whole
+        tracemalloc.start()
+        try:
+            rep = oracle.verify_sandwich(1000, 2.0, 16384, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.violations_lower == 0 and rep.violations_upper == 0
+        assert peak < 16 * 2**20
 
 
 class TestTally:
@@ -346,20 +379,71 @@ class TestSlackBlindSpots:
         assert (got.violations_lower, got.violations_upper) == (h.size // 2, h.size // 2)  # 0 and 0 today
 
 
+def _whole_entropy(rows):
+    """Row entropies by the np.where form of x ln x on the whole array, written out."""
+    return -(rows * np.log(np.where(rows > 0.0, rows, 1.0))).sum(axis=-1)
+
+
+def _whole_norm(rows, alpha):
+    """Row alpha-norms on the whole array, written out: the power sum unshifted below the underflow shift."""
+    if alpha == math.inf:
+        return rows.max(axis=-1)
+    assert not (alpha > 1.0 and alpha * LN(rows.shape[-1]) > 700.0)
+    return np.power(np.power(rows, alpha).sum(axis=-1), 1.0 / alpha)
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class _ZeroAt:
+    """A generator whose exponential draws read 0.0 at the given positions of its stream, counted over every call."""
+
+    def __init__(self, rng, positions):
+        self.rng, self.positions, self.drawn = rng, positions, 0
+
+    def standard_exponential(self, size=None, out=None):
+        e = self.rng.standard_exponential(size=size, out=out)
+        flat = e.reshape(-1)  # a view: the draws are C-contiguous
+        for i in self.positions:
+            if self.drawn <= i < self.drawn + flat.size:
+                flat[i - self.drawn] = 0.0
+        self.drawn += flat.size
+        return e
+
+
 class TestChunkMeasures:
-    """The sliced evaluation of a verify chunk equals the kernels on the whole chunk, bit for bit."""
+    """The block evaluation of a verify chunk equals the whole-chunk formulas, bit for bit."""
 
     @pytest.mark.parametrize("n, y_size", [(2, 8), (3, 2), (8, 8), (256, 4), (70000, 1)])
     @pytest.mark.parametrize("chunk_index", [0, 1])
     def test_bitwise_whole_chunk(self, n, y_size, chunk_index):
         step = max(1, oracle._BLOCK // (y_size * n))
-        count = 2 * step + step // 2 + 1  # three slices, the last one partial
+        count = 2 * step + step // 2 + 1  # three blocks, the last one partial
         py, rows = sample_joint_batch(n, y_size, count, seed=11, chunk_index=chunk_index)
         for alpha in (0.3, 2.0, math.inf):
             h, norm = oracle._chunk_measures(n, y_size, alpha, count, 11, chunk_index)
-            want_h = np.clip((py * shannon_entropy(rows)).sum(axis=1), 0.0, LN(n))
-            want_norm = (py * alpha_norm(rows, alpha)).sum(axis=1)
-            assert np.array_equal(h, want_h) and np.array_equal(norm, want_norm)
+            want_h = np.clip((py * _whole_entropy(rows)).sum(axis=1), 0.0, LN(n))
+            want_norm = (py * _whole_norm(rows, alpha)).sum(axis=1)
+            assert _same_bits(h, want_h) and _same_bits(norm, want_norm)
+
+    @pytest.mark.parametrize("n, y_size", [(3, 2), (256, 4)])
+    def test_a_zero_entry_takes_the_repair(self, n, y_size, monkeypatch):
+        step = max(1, oracle._BLOCK // (y_size * n))
+        count = 2 * step + 1
+        at = count * y_size + step * y_size * n + 5  # after the marginals: an entry of the second block
+        real_rng = oracle._chunk_rng
+        monkeypatch.setattr(oracle, "_chunk_rng", lambda seed, index: _ZeroAt(real_rng(seed, index), [at]))
+        py, rows = sample_joint_batch(n, y_size, count, seed=3, chunk_index=0)
+        assert (rows == 0.0).sum() == 1 and rows.reshape(-1)[at - count * y_size] == 0.0
+        repairs = []
+        real_xlogx = simplex._xlogx
+        monkeypatch.setattr(simplex, "_xlogx", lambda x: repairs.append(x.shape) or real_xlogx(x))
+        for alpha in (0.5, 2.0):
+            h, norm = oracle._chunk_measures(n, y_size, alpha, count, 3, 0)
+            assert _same_bits(h, np.clip((py * _whole_entropy(rows)).sum(axis=1), 0.0, LN(n)))
+            assert _same_bits(norm, (py * _whole_norm(rows, alpha)).sum(axis=1))
+        assert repairs == [(step, y_size, n)] * 2  # only the block holding the zero
 
 
 class TestBruteForce:

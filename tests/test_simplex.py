@@ -14,6 +14,7 @@ from entnorm.simplex import (
     make_uniform,
     probabilities,
     shannon_entropy,
+    step_count,
 )
 
 LN = math.log
@@ -115,6 +116,95 @@ class TestEntropy:
     def test_range(self, vals):
         h = shannon_entropy(vals)
         assert -1e-12 <= h <= LN(len(vals)) + 1e-9
+
+
+def where_entropy(p):
+    """shannon_entropy through the np.where form of x ln x, written out: the bits the row kernel keeps."""
+    p = np.asarray(p, dtype=float)
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+
+
+def same_bits(a, b) -> bool:
+    """Equal doubles, NaN payloads and sign bits included, in equal shapes."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _special_entries():
+    """Entries where x ln x needs care, and 1000 random ones from the subnormals to 100 to place them among."""
+    p = math.nextafter(math.nextafter(1.0 / 3.0, 1.0), 1.0)  # just past a corner of the stepped curve
+    remainder = 1.0 - step_count(p) * p  # 1 - k p: two ulps below 0
+    assert remainder < 0.0
+    special = [0.0, -0.0, -1e-17, remainder, 5e-324, 1e-320, 1.0, math.nan, math.inf, -math.inf]
+    rng = np.random.default_rng(20261020)
+    return special, rng.permutation(np.concatenate([10.0 ** rng.uniform(-320.0, 2.0, 500), rng.random(500)]))
+
+
+def _layouts(x):
+    """x's values as a contiguous array and as a column, a stride-2 and a reversed view."""
+    column = np.stack([np.zeros_like(x), x, np.ones_like(x)], axis=-1)[..., 1]
+    spread = np.stack([x, np.full_like(x, 0.5)], axis=-1).reshape(x.shape[:-1] + (2 * x.shape[-1],))[..., ::2]
+    reversed_ = np.ascontiguousarray(x[..., ::-1])[..., ::-1]
+    views = {"contiguous": x, "column": column, "stride 2": spread, "reversed": reversed_}
+    for v in views.values():
+        assert same_bits(v, x)
+    assert not any(v.flags.forc for k, v in views.items() if k != "contiguous")
+    return views
+
+
+class TestEntropyBits:
+    """shannon_entropy skips the np.where copy of x ln x, yet gives its bits on every value and layout.
+
+    numpy's AVX-512 log rounds a reversed 1-D view differently from a contiguous array, which only enough
+    random entries show; the tier-1 workflow reruns this class with that dispatch target disabled too.
+    """
+
+    def test_each_entry_alone(self):
+        special, spread = _special_entries()
+        rows = np.concatenate([special, spread])[:, None]  # one entry per row
+        with np.errstate(invalid="ignore"):  # -inf ln 1 = -inf * 0 warns in both forms
+            assert same_bits(shannon_entropy(rows), where_entropy(rows))
+
+    def test_zero_entries_raise_no_warning(self):
+        # pyproject turns every RuntimeWarning into an error: ln 0 and 0 * -inf must stay silent
+        for rows in ([0.5, 0.0, 0.5], [[0.5, -1e-17, 0.5], [1.0, 0.0, -0.0]]):
+            assert same_bits(shannon_entropy(rows), where_entropy(rows))
+
+    @pytest.mark.parametrize("layout", ["contiguous", "column", "stride 2", "reversed"])
+    def test_special_entries_among_random_ones_in_every_layout(self, layout):
+        special, spread = _special_entries()
+        block = spread.reshape(5, 4, 50).copy()  # rows 0-9 get one special entry each, rows 10-19 none
+        for k, x in enumerate(special):
+            block.reshape(20, 50)[k, 5 * k] = x
+            row = spread.copy()
+            row[97 * k] = x
+            v = _layouts(row)[layout]
+            with np.errstate(invalid="ignore"):
+                assert same_bits(shannon_entropy(v), where_entropy(v))
+        v = _layouts(block)[layout]
+        with np.errstate(invalid="ignore"):
+            assert same_bits(shannon_entropy(v), where_entropy(v))
+
+    @pytest.mark.parametrize("shape", [(3000, 4, 2), (3000, 4, 3), (500, 4, 8), (50, 4, 256)])
+    @pytest.mark.parametrize("layout", ["contiguous", "column", "stride 2", "reversed"])
+    def test_sampled_rows_in_every_layout(self, shape, layout):
+        e = np.random.default_rng(11).standard_exponential(shape)
+        v = _layouts(e / e.sum(axis=-1, keepdims=True))[layout]
+        assert same_bits(shannon_entropy(v), where_entropy(v))
+
+    @pytest.mark.parametrize("layout", ["contiguous", "column", "stride 2", "reversed"])
+    def test_one_dimensional_rows_in_every_layout(self, layout):
+        # numpy passes a 1-D view's stride to log as it is; with AVX-512 a reversed one rounds about 1 entry in
+        # 1000 of these differently, and a row of 3 keeps that last bit in its sum: 8000 rows show it
+        e = np.random.default_rng(17).standard_exponential((8000, 3))
+        rows = _layouts(e / e.sum(axis=-1, keepdims=True))[layout]
+        got = np.array([shannon_entropy(row) for row in rows])
+        assert same_bits(got, np.array([where_entropy(row) for row in rows]))
+
+    def test_fortran_and_transposed_rows(self):
+        e = np.random.default_rng(13).random((30, 6, 40))
+        for v in (np.asfortranarray(e), e.transpose(2, 0, 1), e[::-1, :, ::3].transpose(1, 2, 0)):
+            assert same_bits(shannon_entropy(v), where_entropy(v))
 
 
 class TestAlphaNorm:
