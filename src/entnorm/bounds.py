@@ -21,7 +21,7 @@ from collections import namedtuple
 
 from . import curves
 from .curves import has_upper_envelope, norm_uniform  # part of this module's API
-from .simplex import DomainError, is_array, np, shannon_entropy
+from .simplex import DomainError, _check_n, is_array, np, shannon_entropy
 
 
 def _lower_chord(n: int, h):
@@ -35,7 +35,7 @@ def _lower_chord(n: int, h):
     # at m, and an h further below ln m than rounding reaches stays on the segment that ends at m.
     m = xp.floor(xp.exp(h) * (1.0 + 2.0**-49))
     top = m >= n
-    m = curves._where(top, max(n - 1, 1), m)
+    m = curves._where(top, n - 1, m)
     lam = curves._clip((xp.log(m + 1) - h) / (xp.log(m + 1) - xp.log(m)), 0.0, 1.0)
     return curves._where(top, n, m), curves._where(top, 1.0, lam)
 
@@ -99,7 +99,6 @@ def envelope_upper_half(n: int, h: float) -> float:
     The tangency sits at entropy ln n - (1 - 2/n) ln(n-1); past it the
     value is n - (n-2)(ln n - h)/ln(n-1).
     """
-    curves._check_n(n)
     h = curves.clamp_entropy(n, h)
     h_star = math.log(n) - (1.0 - 2.0 / n) * math.log(n - 1)
     if h <= h_star:
@@ -176,7 +175,7 @@ def entropy_range_for_norm(n: int, alpha: float, norm: float) -> tuple[float, fl
     gives one end and the stepped curve the other, with the orientation
     set by whether alpha is below or above 1.
     """
-    curves._check_n(n)
+    _check_n(n)
     curves._check_order(alpha)
     norm = _check_norm(n, alpha, norm)
     h_peaked = curves.entropy_peaked(n, _peaked_p_at_norm(n, alpha, norm, 1.0 / n))

@@ -23,7 +23,7 @@ import math
 import sys
 
 from . import bounds, curves, measures, oracle
-from .simplex import DomainError, NumericalError, np
+from .simplex import DomainError, NumericalError, _check_n, np
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -111,7 +111,7 @@ def cmd_curve(args) -> int:
     n, alpha = args.n, args.alpha
     if not 2 <= args.grid <= _MAX_GRID:
         raise UsageError(f"--grid must be from 2 to {_MAX_GRID} (2^20)")
-    curves._check_n(n)
+    _check_n(n)
     h = math.log(n) * np.arange(args.grid) / (args.grid - 1)
     # first: a tangent point that doubles cannot bracket is refused here, before the grid is inverted
     upper = bounds.envelope_upper(n, alpha, h) if bounds.has_upper_envelope(n, alpha) else None

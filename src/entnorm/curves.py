@@ -29,8 +29,8 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .simplex import _LOG_TINY, SUM_TOL, DomainError, _clamp, _finite, _norm, _pow, _power_sum, _xlogx, is_array, np
-from .simplex import step_count
+from .simplex import _LOG_TINY, SUM_TOL, DomainError, _check_n, _clamp, _finite, _norm, _pow, _power_sum, _xlogx
+from .simplex import is_array, np, step_count
 
 # an array solve halves this often, or takes at most this many Newton steps; a float solve stops no wider, within
 # 2^-65 of the bracket's width
@@ -56,8 +56,8 @@ def _clip(x, lo: float, hi: float):
 
 
 def clamp_entropy(n: int, h, name: str = "h"):
-    """h clipped into [0, ln n]: the range guard of every entropy argument."""
-    _check_n(n, least=1)
+    """h clipped into [0, ln n]: the range guard of every entropy argument, and of n >= 2."""
+    _check_n(n)
     return _clamp(h, 0.0, math.log(n), _H_SLACK, name, f"[0, ln {n}]")
 
 
@@ -166,11 +166,6 @@ def _bracketed_root(f, fixed: float, probes, n: int, alpha: float, what: str) ->
     )
 
 
-def _check_n(n: int, least: int = 2) -> None:
-    if n < least:
-        raise DomainError(f"n={n} must be >= {least}")
-
-
 def _order_ok(alpha: float, n: int | None, finite: bool) -> bool:
     """The one order-domain decision of the envelopes.
 
@@ -263,7 +258,6 @@ def inv_entropy_peaked(n: int, h):
     double: the nodes on either side of each h bracket it, and interpolating
     ln p between them gives its start.
     """
-    _check_n(n)
     h = clamp_entropy(n, h)
     # exact ends: the solve leaves p a few ulp inside, which inflates p^alpha
     # noticeably for small alpha. The curve is quadratically flat at its top,
@@ -293,7 +287,6 @@ def _inv_peaked_newton(n: int, h):
 
 def inv_entropy_stepped(n: int, h):
     """The p in [1/n, 1] with entropy_stepped(n, p) = h."""
-    _check_n(n)
     h = clamp_entropy(n, h)
     p = root(lambda p: h - _entropy_stepped(n, p), 1.0 / n, 1.0)
     # segment corners p = 1/m (1 at h = 0, 1/n at h = ln n) are quadratically

@@ -208,7 +208,8 @@ def e0_range_for_mutual(n: int, rho: float, i: float) -> tuple[float | None, flo
     (where 1/(1+rho) >= 1/2) and is None for rho > 1 unless n = 2.
     """
     _check_rho(rho)
-    if rho == 0.0:
+    if rho == 0.0:  # E0 = 0, but n and i are checked as at every other rho
+        curves.clamp_entropy(n, i, name="i")
         return (0.0, 0.0)
     alpha = 1.0 / (1.0 + rho)
     m_lo, m_hi = mutual_range_for_mutual(n, alpha, i)

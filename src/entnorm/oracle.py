@@ -18,8 +18,8 @@ from functools import lru_cache
 
 from . import bounds, curves
 from .measures import JointDist, _derived_joint
-from .simplex import DomainError, NumericalError, alpha_norm, make_peaked, make_stepped, make_uniform, shannon_entropy
-from .simplex import np
+from .simplex import DomainError, NumericalError, _check_n, alpha_norm, make_peaked, make_stepped, make_uniform
+from .simplex import np, shannon_entropy
 
 # _CHUNK and _BUDGET fix the seeding unit: a chunk's joints come from one
 # sub-seed, so changing either changes the reports. _BLOCK changes no result,
@@ -47,7 +47,6 @@ def witness_min(n: int, h: float) -> JointDist:
     Mixes the uniform-on-m and uniform-on-(m+1) rows (as stepped vectors)
     with the weight that lands the conditional entropy on h.
     """
-    curves._check_n(n)
     m, lam = bounds._lower_chord(n, curves.clamp_entropy(n, h))
     if m >= n:
         return _derived_joint((1.0,), (make_uniform(n),))
@@ -79,8 +78,9 @@ def _sample_simplex(rng: np.random.Generator, *shape: int) -> np.ndarray:
 
 
 def _check_sampling(n: int, y_size: int, seed: int) -> None:
-    if n < 2 or y_size < 1:
-        raise DomainError(f"need n >= 2 and y_size >= 1, got n={n}, y_size={y_size}")
+    _check_n(n)
+    if y_size < 1:
+        raise DomainError(f"y_size={y_size} must be >= 1")
     if seed < 0:
         raise DomainError(f"seed={seed} must be >= 0")
 
@@ -101,6 +101,7 @@ def sample_joint_batch(
     n: int, y_size: int, count: int, seed: int, chunk_index: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch of joints as arrays: marginals (count, y) and rows (count, y, n)."""
+    _check_sampling(n, y_size, seed)
     rng = _chunk_rng(seed, chunk_index)
     return _sample_simplex(rng, count, y_size), _sample_simplex(rng, count, y_size, n)
 

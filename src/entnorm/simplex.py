@@ -2,7 +2,8 @@
 
 ``probabilities`` is the one check that an array's rows are probability
 vectors; the ``make_*`` families, ``measures.JointDist`` and
-``measures.Channel`` all validate through it. ``shannon_entropy`` and
+``measures.Channel`` all validate through it. ``_check_n`` is the one
+check of an alphabet size n, in every module. ``shannon_entropy`` and
 ``alpha_norm`` take an array-like and reduce over its last axis.
 Everything here works in nats (natural logarithm). The two parametric
 families ``make_peaked`` and ``make_stepped`` trace the extremal boundary
@@ -16,6 +17,7 @@ import sys
 
 SUM_TOL = 1e-12
 _LOG_TINY = 700.0  # e^-700 ~ 1e-304: a power sum at least this large is a normal double
+_N_MAX = 10**14  # the largest n: the first tangent probe, curves._TANGENT_PROBES[0] = 1e-14, must not exceed 1/n
 
 
 class DomainError(ValueError):
@@ -96,6 +98,12 @@ def _bad_row(x) -> str:
     return f", row {i}"
 
 
+def _check_n(n: int, least: int = 2) -> None:
+    """The one alphabet-size guard: DomainError unless least <= n <= _N_MAX (least is 1, 2 or 3). NaN fails."""
+    if not least <= n <= _N_MAX:
+        raise DomainError(f"n={n} must be from {least} to {_N_MAX}")
+
+
 def _xlogx(x):
     """x ln x, with 0 at x = 0, for a float or an array.
 
@@ -122,15 +130,13 @@ def _clamp(x, lo: float, hi: float, slack: float, name: str, span: str):
 
 def make_uniform(n: int) -> np.ndarray:
     """The equiprobable distribution on n symbols, a read-only array."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _check_n(n, least=1)
     return probabilities(np.full(n, 1.0 / n), 1, "values")
 
 
 def make_peaked(n: int, p: float) -> np.ndarray:
     """One mass 1-(n-1)p followed by n-1 equal masses p, for p in [0, 1/n]; a read-only array."""
-    if n < 2:
-        raise DomainError("peaked family needs n >= 2")
+    _check_n(n)
     p = _clamp(p, 0.0, 1.0 / n, SUM_TOL, "p", f"[0, 1/{n}]")
     values = np.full(n, p)
     values[0] = 1.0 - (n - 1) * p
@@ -151,8 +157,7 @@ def step_count(p):
 
 def make_stepped(n: int, p: float) -> np.ndarray:
     """floor(1/p) masses p, one remainder 1-floor(1/p)*p, zeros after, p in [1/n, 1]; a read-only array."""
-    if n < 2:
-        raise DomainError("stepped family needs n >= 2")
+    _check_n(n)
     p = _clamp(p, 1.0 / n, 1.0, SUM_TOL, "p", f"[1/{n}, 1]")
     k = min(step_count(p), n)
     values = np.zeros(n)

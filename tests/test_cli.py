@@ -259,8 +259,8 @@ class TestRefusalsBeforeWork:
     """Each refusal keeps its message, and none waits for a drawn joint or an inverted grid."""
 
     @pytest.mark.parametrize("argv, message", [
-        ("--n 1 --alpha 2", "need n >= 2 and y_size >= 1, got n=1, y_size=4"),
-        ("--n 8 --alpha 2 --y-size 0", "need n >= 2 and y_size >= 1, got n=8, y_size=0"),
+        ("--n 1 --alpha 2", "n=1 must be from 2 to 100000000000000"),
+        ("--n 8 --alpha 2 --y-size 0", "y_size=0 must be >= 1"),
         ("--n 8 --alpha 2 --seed -1", "seed=-1 must be >= 0"),
         ("--n 8 --alpha 2 --samples 0", "samples=0 must be >= 1"),
         ("--n 8 --alpha 2 --y-size 10000000", "a sample of 80000000 floats exceeds the 16777216-float chunk budget"),
@@ -517,6 +517,46 @@ class TestExtremeOrders:
         assert "unsupported" in err and "alpha" in err
 
 
+_TOP = 10**14  # the largest alphabet
+
+
+class TestAlphabetEdges:
+    """Every command that takes n answers at 10^14 and refuses n = 1 and 10^14 + 1 with one line."""
+
+    @pytest.mark.parametrize("argv", ["eval --alpha 2 --h 1", "eval --alpha 0.7 --N 2", "eval --alpha 2 --i 1",
+                                      "eval --rho 1 --i 1", "tangent --alpha 2", "curve --alpha 2 --grid 3"])
+    def test_answers_at_the_top_and_refuses_above(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split(), "--n", str(_TOP))
+        assert code == 0 and out and err == ""
+        assert run(capsys, *argv.split(), "--n", str(_TOP + 1)) == (
+            1, "", f"ent-norm: error: n={_TOP + 1} must be from 2 to {_TOP}\n")
+
+    @pytest.mark.parametrize("alpha", ["0.3", "2", "inf"])
+    @pytest.mark.parametrize("cmd, doc", [("measures", {"py": [1.0], "rows": [[1.0]]}),
+                                          ("channel", {"transitions": [[1.0]]})])
+    def test_one_symbol_files_refused_at_every_order(self, capsys, tmp_path, cmd, doc, alpha):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(doc))
+        # channel at order inf is rho = -1, which the E0 parameter's own check refuses first
+        message = "rho=-1.0 must be finite and exceed -1" if (cmd, alpha) == ("channel", "inf") else (
+            f"n=1 must be from 2 to {_TOP}")
+        assert run(capsys, cmd, "--alpha", alpha, "--input", str(path)) == (1, "", f"ent-norm: error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        ("--n -5 --i nan", f"n=-5 must be from 2 to {_TOP}"),
+        ("--n 0 --i 1e300", f"n=0 must be from 2 to {_TOP}"),
+        ("--n 1 --i 0", f"n=1 must be from 2 to {_TOP}"),
+        ("--n 5 --i nan", "i=nan outside [0, ln 5]"),
+        ("--n 5 --i 1e300", "i=1e+300 outside [0, ln 5]"),
+    ])
+    def test_rho_zero_checks_n_and_i(self, capsys, argv, message):
+        assert run(capsys, "eval", "--rho", "0", *argv.split()) == (1, "", f"ent-norm: error: {message}\n")
+
+    def test_rho_zero_answers_zero(self, capsys):
+        code, out, _ = run(capsys, "eval", "--n", "5", "--rho", "0", "--i", "1")
+        assert code == 0 and json.loads(out)["e0_lower"] == json.loads(out)["e0_upper"] == 0.0
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")
@@ -591,7 +631,7 @@ def test_python_dash_m_runs_the_cli():
 # Numbers from the whole float range, with the edges spelled out, and orders inside the domain.
 _EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.0, -1.0, 0.5]
 _NUMBER = st.one_of(st.sampled_from(_EDGES), st.floats(), st.floats(1e-3, 1e4), st.floats(0.0, 3.0))
-_N = st.one_of(st.integers(-1, 12), st.integers(2, 10**6))
+_N = st.one_of(st.integers(-1, 12), st.integers(2, 10**30), st.sampled_from([10**14, 10**14 + 1]))
 
 
 def _flag(name, x):
@@ -612,6 +652,8 @@ def _argv(draw, files):
         argv = ["tangent", f"--n={n}", _flag("alpha", draw(_NUMBER))]
     elif cmd == "verify":
         y = draw(st.integers(-1, 8))
+        if 1 << 20 < n <= 1 << 24:
+            n = 1 << 20  # a joint this wide fits the chunk budget and would draw up to 128 MB; wider ones are refused
         if abs(n) * max(y, 1) > 1 << 20:
             y = 1  # at most 2^20 row entries: the widest alphabets draw one small joint
         samples = min(draw(st.integers(-1, 256)), max(1, (1 << 20) // (abs(n) * max(y, 1) or 1)))
@@ -633,12 +675,14 @@ def fuzz_files(tmp_path_factory):
     docs = {
         "measures": [{"py": [1.0], "rows": [[1.0, 0.0, 0.0]]},
                      {"py": [0.5, 0.5], "rows": [[0.25] * 4, [0.7, 0.1, 0.1, 0.1]]},
-                     {"py": [0.2, 0.3, 0.5], "rows": [[0.5, 0.5], [1.0, 0.0], [0.1, 0.9]]}],
+                     {"py": [0.2, 0.3, 0.5], "rows": [[0.5, 0.5], [1.0, 0.0], [0.1, 0.9]]},
+                    {"py": [1.0], "rows": [[1.0]]}],
         "channel": [{"transitions": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
                     {"transitions": [[0.9, 0.1], [0.1, 0.9]]},
                     {"transitions": [[0.4, 0.6], [0.4, 0.6], [0.4, 0.6]]},
                     {"transitions": [[0.5, 0.25, 0.25, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4, 0.0],
-                                     [0.0, 0.0, 0.0, 0.0, 1.0], [0.2, 0.2, 0.2, 0.2, 0.2]]}],
+                                     [0.0, 0.0, 0.0, 0.0, 1.0], [0.2, 0.2, 0.2, 0.2, 0.2]]},
+                    {"transitions": [[1.0]]}],
     }
     files = {}
     for cmd, objs in docs.items():

@@ -140,6 +140,21 @@ class TestRandomJoint:
         with pytest.raises(DomainError):
             random_joint(3, 0, seed=0)
 
+    @pytest.mark.parametrize("n, y_size, seed, message", [
+        (0, 2, 0, "n=0 must be from 2 to 100000000000000"),
+        (3, 0, 0, "y_size=0 must be >= 1"),
+        (3, 2, -1, "seed=-1 must be >= 0"),
+    ])
+    def test_batch_refuses_before_drawing(self, monkeypatch, n, y_size, seed, message):
+        def drawn(*args):
+            raise AssertionError("drew a joint")
+
+        monkeypatch.setattr(oracle, "_sample_simplex", drawn)
+        monkeypatch.setattr(oracle, "_chunk_rng", drawn)
+        with pytest.raises(DomainError) as info:
+            sample_joint_batch(n, y_size, 4, seed)
+        assert str(info.value) == message
+
 
 class TestVerifyEnvelope:
     def test_clean_two_sided(self):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from entnorm import bounds, curves, measures, oracle
 from entnorm.curves import norm_uniform
 from entnorm.simplex import (
     DomainError,
+    _check_n,
     alpha_log,
     alpha_norm,
     make_peaked,
@@ -29,6 +31,66 @@ def simplex_points(max_n=8):
         st.integers(0, 2**32 - 1),
         st.integers(2, max_n),
     )
+
+
+# Every entry that takes an alphabet size, at order a (rho = 1/a - 1 for E0, 0 at a = inf): each refuses n = 1
+_N_ENTRIES = {
+    "envelope": lambda n, a: bounds.envelope(n, a, 0.0),
+    "envelope_lower": lambda n, a: bounds.envelope_lower(n, a, 0.0),
+    "envelope_upper": lambda n, a: bounds.envelope_upper(n, a, 0.0),
+    "envelope_upper_half": lambda n, a: bounds.envelope_upper_half(n, 0.0),
+    "entropy_range_for_norm": lambda n, a: bounds.entropy_range_for_norm(n, a, 1.0),
+    "cond_entropy_range_for_norm": lambda n, a: bounds.cond_entropy_range_for_norm(n, a, 1.0),
+    "renyi_range_for_entropy": lambda n, a: measures.renyi_range_for_entropy(n, a, 0.0),
+    "rnorm_range_for_entropy": lambda n, a: measures.rnorm_range_for_entropy(n, a, 0.0),
+    "mutual_range_for_mutual": lambda n, a: measures.mutual_range_for_mutual(n, a, 0.0),
+    "e0_range_for_mutual": lambda n, a: measures.e0_range_for_mutual(n, 1.0 / a - 1.0 if a < math.inf else 0.0, 0.0),
+    "inv_entropy_peaked": lambda n, a: curves.inv_entropy_peaked(n, 0.0),
+    "inv_entropy_stepped": lambda n, a: curves.inv_entropy_stepped(n, 0.0),
+    "tangent_point": lambda n, a: curves.tangent_point(n, a),
+    "witness_min": lambda n, a: oracle.witness_min(n, 0.0),
+    "witness_max": lambda n, a: oracle.witness_max(n, a, 0.0),
+    "brute_force_upper": lambda n, a: oracle.brute_force_upper(n, a, 0.0, 16),
+    "brute_force_lower": lambda n, a: oracle.brute_force_lower(n, a, 0.0, 16),
+    "random_joint": lambda n, a: oracle.random_joint(n, 1, 0),
+    "sample_joint_batch": lambda n, a: oracle.sample_joint_batch(n, 1, 1, 0),
+    "verify_envelope": lambda n, a: oracle.verify_envelope(n, a, 1, 0, y_size=1),
+    "verify_sandwich": lambda n, a: oracle.verify_sandwich(n, a, 1, 0),
+    "make_peaked": lambda n, a: make_peaked(n, 0.0),
+    "make_stepped": lambda n, a: make_stepped(n, 1.0),
+}
+
+
+class TestAlphabetGuard:
+    """simplex._check_n is the one check of n: from least (1, 2 or 3) to 10^14, with one text."""
+
+    @pytest.mark.parametrize("least", [1, 2, 3])
+    def test_ends_of_each_least(self, least):
+        _check_n(least, least)
+        _check_n(10**14, least)
+        for n in (least - 1, 10**14 + 1, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError) as info:
+                _check_n(n, least)
+            assert str(info.value) == f"n={n} must be from {least} to 100000000000000"
+
+    @pytest.mark.parametrize("name", sorted(_N_ENTRIES))
+    @pytest.mark.parametrize("alpha", [0.3, 2.0, math.inf])
+    @pytest.mark.parametrize("n", [1, 10**14 + 1])
+    def test_every_entry_refuses_at_every_order(self, name, alpha, n):
+        with pytest.raises(DomainError) as info:
+            _N_ENTRIES[name](n, alpha)
+        assert str(info.value) == f"n={n} must be from 2 to 100000000000000"
+
+    def test_inflection_needs_three(self):
+        with pytest.raises(DomainError, match="^n=2 must be from 3 to 100000000000000$"):
+            curves.inflection_point(2, 2.0)
+
+    @pytest.mark.parametrize("alpha", [0.3, 2.0, math.inf])
+    def test_one_symbol_points_keep_answering(self, alpha):
+        assert make_uniform(1).tolist() == [1.0]
+        assert bounds.sandwich_norm([1.0], alpha) == (1.0, 1.0)
+        lo, hi = bounds.sandwich_norm([[1.0], [1.0]], alpha)
+        assert lo.tolist() == hi.tolist() == [1.0, 1.0]
 
 
 class TestConstructors:
@@ -54,7 +116,7 @@ class TestConstructors:
             make_peaked(3, -1e-6)
         # within tolerance: clamped, not rejected
         make_peaked(3, 1 / 3 + 1e-13)
-        with pytest.raises(DomainError, match="n >= 2"):
+        with pytest.raises(DomainError, match="^n=1 must be from 2 to 100000000000000$"):
             make_peaked(1, 0.0)
 
     def test_stepped(self):
@@ -67,7 +129,7 @@ class TestConstructors:
             make_stepped(4, 0.1)
         with pytest.raises(DomainError):
             make_stepped(4, 1.1)
-        with pytest.raises(DomainError, match="n >= 2"):
+        with pytest.raises(DomainError, match="^n=1 must be from 2 to 100000000000000$"):
             make_stepped(1, 1.0)
 
     def test_stepped_exact_reciprocals(self):
